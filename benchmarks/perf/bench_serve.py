@@ -11,17 +11,15 @@ Runs the pinned scenarios from :mod:`scenarios` and writes
                      latency SLOs, bounded queues);
 * **ctl**         -- the control-plane chaos scenario (long-horizon
                      operations trace under the seeded fault timeline);
-* **link10k**     -- the pure-kernel 10k-transfer link microbenchmark;
-* **kernel_comparison** -- wall seconds and events/sec of the pre-PR
-                     O(n)-rescan kernel vs this checkout, as measured on
-                     the machine that recorded the snapshot.
+* **link10k**     -- the pure-kernel 10k-transfer link microbenchmark.
 
 Wall seconds are machine-dependent -- track the trend, not the absolute.
 The simulated metrics and the *event counts* are deterministic: they
-must only change when the model changes.  ``--check`` replays just the
-pinned 64-tenant scenario and asserts its event count and makespan
-against ``baseline.json``; CI runs that instead of wall-clock
-assertions, which would flake.
+must only change when the model changes.  ``--check`` replays the
+pinned scenarios -- ``serve64``, ``serve64_hot_raw``, ``stream64``,
+``ctl_ops_chaos32`` and ``link10k`` -- and asserts their event counts
+and simulated end times against ``baseline.json``; CI runs that instead
+of wall-clock assertions, which would flake.
 
 Usage::
 
@@ -45,39 +43,6 @@ import scenarios  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
 
-#: Pre-PR kernel numbers (commit a3db386, the O(n)-rescan link and the
-#: allocation-heavy event loop), measured on the same host that recorded
-#: the committed BENCH_serve.json.  Events/sec uses the events *scheduled*
-#: by the old kernel, which had no processed-events counter.
-PRE_PR = {
-    "commit": "a3db386",
-    "serve64": {"wall_seconds": 9.62, "events": 2143904},
-    "serve64_hot_raw": {"wall_seconds": 21.63, "events": 3914950},
-    "serve128": {"wall_seconds": 19.54, "events": 4057468},
-    "link10k": {"wall_seconds": 0.598, "events": 22912},
-}
-
-
-def _comparison(post: dict) -> dict:
-    """Pre-PR vs this-run wall/event-rate table."""
-    table = {"pre_pr_commit": PRE_PR["commit"],
-             "note": ("pre-PR numbers measured on the host that recorded "
-                      "this snapshot; compare trends, not absolutes")}
-    for name, before in PRE_PR.items():
-        if name == "commit" or name not in post:
-            continue
-        after = post[name]
-        table[name] = {
-            "pre_pr_wall_seconds": before["wall_seconds"],
-            "wall_seconds": after["wall_seconds"],
-            "speedup": round(before["wall_seconds"]
-                             / max(after["wall_seconds"], 1e-9), 2),
-            "pre_pr_events_per_sec": int(before["events"]
-                                         / before["wall_seconds"]),
-            "events_per_sec": after["events_per_sec"],
-        }
-    return table
-
 
 def run_suite(full: bool = False) -> dict:
     serve = {name: scenarios.run_serve_scenario(name)
@@ -98,18 +63,11 @@ def run_suite(full: bool = False) -> dict:
     }
     if full:
         snapshot["sweep_full"] = scenarios.run_sweep_full()
-    # Flatten the single-policy scenarios for the comparison table.
-    post = {"link10k": link}
-    for name, payload in serve.items():
-        policies = payload["policies"]
-        if len(policies) == 1:
-            post[name] = next(iter(policies.values()))
-    snapshot["kernel_comparison"] = _comparison(post)
     return snapshot
 
 
 def check_against_baseline() -> int:
-    """CI perf smoke: replay the pinned scenario, assert event counts.
+    """CI perf smoke: replay the pinned scenarios, assert event counts.
 
     Event counts (not wall seconds) keep the check flake-free: the DES
     is deterministic, so a changed count means the model or the kernel's
@@ -202,8 +160,8 @@ def main() -> int:
     parser.add_argument("--output", default="BENCH_serve.json",
                         help="where to write the snapshot")
     parser.add_argument("--check", action="store_true",
-                        help="replay the pinned scenario and assert the "
-                             "deterministic event count (CI smoke)")
+                        help="replay the pinned scenarios and assert their "
+                             "deterministic event counts (CI smoke)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="refresh benchmarks/perf/baseline.json")
     parser.add_argument("--full", action="store_true",
@@ -236,11 +194,6 @@ def main() -> int:
     link = snapshot["link10k"]
     print(f"  link10k: {link['wall_seconds']}s wall, "
           f"{link['events']} events ({link['events_per_sec']}/s)")
-    for name in ("serve64", "serve64_hot_raw", "serve128", "link10k"):
-        comparison = snapshot["kernel_comparison"].get(name)
-        if comparison:
-            print(f"  {name} speedup vs pre-PR kernel: "
-                  f"{comparison['speedup']}x")
     return 0
 
 

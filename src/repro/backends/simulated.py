@@ -34,6 +34,7 @@ from repro.pipelines.base import Representation, SplitPlan
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation, Timeout, all_of
+from repro.sim.resources import HoldRequest
 from repro.sim.trace import ResourceTrace
 
 
@@ -251,54 +252,35 @@ class SimulatedBackend:
         read_link = cluster.read_link
         write_link = cluster.write_link
         gil = machine.gil
-        gil_convoy = gil.convoy_overhead
-        gil_max_waiters = gil.max_convoy_waiters
-        gil_waiters = gil._waiters
         cores = machine.cores
 
-        def native(cpu_seconds: float) -> Generator[Event, None, None]:
-            """Inlined ``machine.compute_native`` (hot path, one frame)."""
+        def native(cpu_seconds: float) -> HoldRequest:
+            """``machine.compute_native`` without its generator frame."""
             machine.cpu_busy_seconds += cpu_seconds
-            yield cores.acquire()
-            try:
-                yield Timeout(sim, cpu_seconds)
-            finally:
-                cores.release()
+            return cores.held_for(cpu_seconds)
 
-        def worker(jobs: list[_JobPlan]) -> Generator[Event, None, None]:
+        def worker(jobs: list[_JobPlan]) -> Generator[object, None, None]:
             for job in jobs:
                 k = job.samples
                 opens = opens_per_sample * k
                 if opens > 0:
-                    yield metadata.acquire()
-                    try:
-                        yield Timeout(sim, opens * open_latency)
-                    finally:
-                        metadata.release()
+                    yield metadata.held_for(opens * open_latency)
                 read_bytes = k * source_bytes_ps
                 counters["read"] += read_bytes
                 yield read_link.transfer(read_bytes, link_tag)
                 yield Timeout(sim, k * overhead_ps)
                 for holds_gil, cpu_seconds in offline_charges:
                     if holds_gil:
-                        # Inlined gil.hold_scaled: convoy per sample.
-                        yield gil.acquire()
-                        try:
-                            waiters = len(gil_waiters)
-                            if waiters > gil_max_waiters:
-                                waiters = gil_max_waiters
-                            per_unit = cpu_seconds + waiters * gil_convoy
-                            yield Timeout(sim, k * per_unit)
-                        finally:
-                            gil.release()
+                        # Convoy per sample, as gil.hold_scaled.
+                        yield gil.held_for(cpu_seconds, k)
                     else:
-                        yield from native(k * cpu_seconds)
+                        yield native(k * cpu_seconds)
                 # Serialize the materialised records.
-                yield from native(k * serialize_ps)
+                yield native(k * serialize_ps)
                 if compress_bw is not None:
                     compress_seconds = k * out_bytes_ps / compress_bw
                     counters["compress"] += compress_seconds
-                    yield from native(compress_seconds)
+                    yield native(compress_seconds)
                 write_bytes = k * stored_bytes_ps
                 counters["write"] += write_bytes
                 yield write_link.transfer(write_bytes, link_tag)
@@ -406,22 +388,15 @@ class SimulatedBackend:
         read_link = cluster.read_link
         cores = machine.cores
         dispatch = machine.dispatch
-        dispatch_convoy = dispatch.convoy_overhead
-        dispatch_max_waiters = dispatch.max_convoy_waiters
-        dispatch_waiters = dispatch._waiters
         app_iter_cost = cal.APP_CACHE_ITER_COST
         gil = machine.gil
-        gil_convoy = gil.convoy_overhead
-        gil_max_waiters = gil.max_convoy_waiters
-        gil_waiters = gil._waiters
 
-        # The loops below hand-inline machine.compute_native,
-        # Lock.hold_scaled and the timed() trace brackets: one generator
-        # frame per reader thread instead of three per phase.  This is the
+        # The loops below yield timed holds directly and inline the trace
+        # brackets: one generator frame per reader thread.  This is the
         # hottest code in the repository -- every simulated sample batch of
         # every strategy and every tenant passes through it.
 
-        def worker(jobs: list[_JobPlan]) -> Generator[Event, None, None]:
+        def worker(jobs: list[_JobPlan]) -> Generator[object, None, None]:
             if shuffle_buffer and jobs and jobs[0].thread_id == 0:
                 yield Timeout(sim, cal.SHUFFLE_BUFFER_ALLOC)
             lane = (f"{span_track}/t{jobs[0].thread_id}"
@@ -443,37 +418,16 @@ class SimulatedBackend:
                     for holds_gil, cpu_seconds in nondet_charges:
                         bracket = sim._now
                         if holds_gil:
-                            yield gil.acquire()
-                            try:
-                                waiters = len(gil_waiters)
-                                if waiters > gil_max_waiters:
-                                    waiters = gil_max_waiters
-                                per_unit = (cpu_seconds
-                                            + waiters * gil_convoy)
-                                yield Timeout(sim, k * per_unit)
-                            finally:
-                                gil.release()
+                            yield gil.held_for(cpu_seconds, k)
                             if trace is not None:
                                 trace.gil_seconds += sim._now - bracket
                         else:
                             machine.cpu_busy_seconds += k * cpu_seconds
-                            yield cores.acquire()
-                            try:
-                                yield Timeout(sim, k * cpu_seconds)
-                            finally:
-                                cores.release()
+                            yield cores.held_for(k * cpu_seconds)
                             if trace is not None:
                                 trace.cpu_seconds += sim._now - bracket
                     bracket = sim._now
-                    yield dispatch.acquire()
-                    try:
-                        waiters = len(dispatch_waiters)
-                        if waiters > dispatch_max_waiters:
-                            waiters = dispatch_max_waiters
-                        per_unit = app_iter_cost + waiters * dispatch_convoy
-                        yield Timeout(sim, k * per_unit)
-                    finally:
-                        dispatch.release()
+                    yield dispatch.held_for(app_iter_cost, k)
                     if trace is not None:
                         trace.dispatch_seconds += sim._now - bracket
                     if batch_span is not None:
@@ -501,12 +455,8 @@ class SimulatedBackend:
                     counters["storage"] += disk_bytes
                     if opens > 0:
                         bracket = sim._now
-                        yield metadata.acquire()
-                        try:
-                            yield Timeout(sim, opens * open_latency
-                                          * open_factor)
-                        finally:
-                            metadata.release()
+                        yield metadata.held_for(opens * open_latency
+                                                * open_factor)
                         if trace is not None:
                             trace.open_seconds += sim._now - bracket
                     bracket = sim._now
@@ -524,56 +474,32 @@ class SimulatedBackend:
                     bracket = sim._now
                     seconds = k * stored_bytes_ps_raw / decompress_bw
                     machine.cpu_busy_seconds += seconds
-                    yield cores.acquire()
-                    try:
-                        yield Timeout(sim, seconds)
-                    finally:
-                        cores.release()
+                    yield cores.held_for(seconds)
                     if trace is not None:
                         trace.decode_seconds += sim._now - bracket
                 if deser_ps is not None:
                     bracket = sim._now
                     seconds = k * deser_ps
                     machine.cpu_busy_seconds += seconds
-                    yield cores.acquire()
-                    try:
-                        yield Timeout(sim, seconds)
-                    finally:
-                        cores.release()
+                    yield cores.held_for(seconds)
                     if trace is not None:
                         trace.decode_seconds += sim._now - bracket
                 for holds_gil, cpu_seconds in online_charges:
                     bracket = sim._now
                     if holds_gil:
-                        yield gil.acquire()
-                        try:
-                            waiters = len(gil_waiters)
-                            if waiters > gil_max_waiters:
-                                waiters = gil_max_waiters
-                            per_unit = cpu_seconds + waiters * gil_convoy
-                            yield Timeout(sim, k * per_unit)
-                        finally:
-                            gil.release()
+                        yield gil.held_for(cpu_seconds, k)
                         if trace is not None:
                             trace.gil_seconds += sim._now - bracket
                     else:
                         machine.cpu_busy_seconds += k * cpu_seconds
-                        yield cores.acquire()
-                        try:
-                            yield Timeout(sim, k * cpu_seconds)
-                        finally:
-                            cores.release()
+                        yield cores.held_for(k * cpu_seconds)
                         if trace is not None:
                             trace.cpu_seconds += sim._now - bracket
                 if shuffle_buffer:
                     bracket = sim._now
                     seconds = k * shuffle_ps
                     machine.cpu_busy_seconds += seconds
-                    yield cores.acquire()
-                    try:
-                        yield Timeout(sim, seconds)
-                    finally:
-                        cores.release()
+                    yield cores.held_for(seconds)
                     if trace is not None:
                         trace.shuffle_seconds += sim._now - bracket
                 if populate_app_cache:
@@ -582,15 +508,7 @@ class SimulatedBackend:
                     if trace is not None:
                         trace.memory_seconds += sim._now - bracket
                 bracket = sim._now
-                yield dispatch.acquire()
-                try:
-                    waiters = len(dispatch_waiters)
-                    if waiters > dispatch_max_waiters:
-                        waiters = dispatch_max_waiters
-                    per_unit = dispatch_cost + waiters * dispatch_convoy
-                    yield Timeout(sim, k * per_unit)
-                finally:
-                    dispatch.release()
+                yield dispatch.held_for(dispatch_cost, k)
                 if trace is not None:
                     trace.dispatch_seconds += sim._now - bracket
                 if batch_span is not None:

@@ -319,7 +319,7 @@ class PreprocessingService:
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``.  With no plan the engine is never constructed and
         #: the run schedules zero extra events -- the faults-off
-        #: differential wall (tests/faults/test_differential.py).
+        #: differential wall (tests/faults/test_faults_differential.py).
         self.fault_plan = faults
         # Per-run state, initialised in run().
         self._sim: Simulation = None  # type: ignore[assignment]

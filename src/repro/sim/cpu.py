@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.sim.bandwidth import SharedBandwidth
-from repro.sim.events import Event, Simulation, Timeout
+from repro.sim.events import Event, Simulation
 from repro.sim.pagecache import PageCache
-from repro.sim.resources import Lock, Resource
+from repro.sim.resources import HoldRequest, Lock, Resource
 from repro.units import GB, US
 
 
@@ -61,20 +61,15 @@ class Machine:
     # -- execution helpers -----------------------------------------------------
 
     def compute_native(self, cpu_seconds: float
-                       ) -> Generator[Event, None, None]:
+                       ) -> Generator[HoldRequest, None, None]:
         """Run framework-native work: occupies one core, scales with cores."""
         if cpu_seconds <= 0:
             return
         self.cpu_busy_seconds += cpu_seconds
-        cores = self.cores
-        yield cores.acquire()
-        try:
-            yield Timeout(self.sim, cpu_seconds)
-        finally:
-            cores.release()
+        yield self.cores.held_for(cpu_seconds)
 
     def compute_external(self, cpu_seconds: float
-                         ) -> Generator[Event, None, None]:
+                         ) -> Generator[HoldRequest, None, None]:
         """Run external-library work: holds the GIL, serializing all threads.
 
         The convoy overhead grows with the number of blocked threads, so
@@ -84,18 +79,13 @@ class Machine:
         if cpu_seconds <= 0:
             return
         self.gil_busy_seconds += cpu_seconds
-        gil = self.gil
-        yield gil.acquire()
-        try:
-            yield Timeout(self.sim, cpu_seconds + gil.contention_penalty())
-        finally:
-            gil.release()
+        yield self.gil.held_for(cpu_seconds)
 
     def dispatch_samples(self, n_samples: float, per_sample_cost: Optional[
-            float] = None) -> Generator[Event, None, None]:
+            float] = None) -> Generator[HoldRequest, None, None]:
         """Hand ``n_samples`` results across the serialized dispatch lock."""
         cost = self.dispatch_cost if per_sample_cost is None else per_sample_cost
-        yield from self.dispatch.hold(n_samples * cost)
+        yield self.dispatch.held_for(n_samples * cost)
 
     def read_memory(self, nbytes: float) -> Generator[Event, None, None]:
         """Move bytes over the memory bus (app-cache and page-cache hits)."""

@@ -12,13 +12,21 @@ the kernel small enough to test exhaustively:
 * :class:`Event` -- manually triggered (used by resources and links).
 * :class:`Process` -- itself an event that triggers when the generator
   returns, so processes can wait on each other.
+* timed holds -- a process may also yield the request built by
+  :meth:`repro.sim.resources.Resource.held_for` (or
+  :meth:`~repro.sim.resources.Lock.held_for`): acquire a slot, hold it
+  for a duration, release it, resume once.
 * :func:`all_of` -- barrier over a list of events.
 
 The hot path is deliberately allocation-light: callback lists are created
 lazily (most events carry exactly one callback), scheduling is inlined
 into :meth:`Event.succeed`/:class:`Timeout` instead of routing through a
 helper, and the :meth:`Simulation.run` loop resolves events without a
-per-event method-call chain.  :attr:`Simulation.events_processed` counts
+per-event method-call chain.  A timed hold runs its grant and its timed
+half on the process's one reusable wake event, so it allocates no event
+and resumes the generator once, yet still resolves the same two kernel
+events in the same order as ``acquire()`` followed by a
+:class:`Timeout`.  :attr:`Simulation.events_processed` counts
 resolved events; because the kernel is deterministic, that counter is a
 machine-independent proxy for simulation cost (``make bench-check``).
 """
@@ -31,8 +39,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
-#: Type of the generators that drive processes.
-ProcessGenerator = Generator["Event", Any, Any]
+#: Type of the generators that drive processes.  They yield events or
+#: timed-hold requests (``Resource.held_for``).
+ProcessGenerator = Generator[Any, Any, Any]
 
 
 class Event:
@@ -167,25 +176,47 @@ class Timeout(Event):
 
 
 class Process(Event):
-    """Drives a generator; the process is an event that fires on return."""
+    """Drives a generator; the process is an event that fires on return.
 
-    __slots__ = ("_generator", "name", "_resume_cb")
+    The generator yields events, or timed-hold requests: the tuples
+    built by :meth:`repro.sim.resources.Resource.held_for`.  A hold is
+    served on ``_wake``, the bootstrap event reused: the resource grants
+    it in FIFO order (:meth:`~repro.sim.resources.Resource._claim`), the
+    grant schedules the timed half on the same event, and the timed half
+    releases the slot as it resumes the generator -- two kernel events,
+    stamped and sequenced exactly like ``acquire()`` plus a
+    :class:`Timeout`, but one generator resume and no event allocated.
+    """
+
+    __slots__ = ("_generator", "name", "_resume_cb", "_wake", "_hold",
+                 "_granted_cb")
 
     def __init__(self, sim: "Simulation", generator: ProcessGenerator,
                  name: str = "process"):
         super().__init__(sim)
         self._generator = generator
         self.name = name
-        # One bound method for the process lifetime instead of a fresh
-        # bound-method object per yielded event.
+        # One bound method per callback for the process lifetime instead
+        # of a fresh bound-method object per yielded event.
         self._resume_cb = self._resume
+        self._granted_cb = self._granted
+        #: The timed-hold request in progress, ``None`` between holds.
+        self._hold: Any = None
         # Bootstrap: resume the generator once the simulation starts.
+        # The event is then free, and every timed hold reuses it.
         bootstrap = Event(sim)
         bootstrap.callbacks = self._resume_cb
         bootstrap.succeed()
+        self._wake = bootstrap
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value of the event that fired."""
+        hold = self._hold
+        if hold is not None:
+            # ``event`` is the timed half of a hold: free the slot first,
+            # as the ``finally: release()`` of a hand-written hold did.
+            self._hold = None
+            hold[0].release()
         generator = self._generator
         while True:
             try:
@@ -202,6 +233,28 @@ class Process(Event):
                 # exception through the normal event path; if nobody is
                 # watching, the run loop re-raises it as unhandled.
                 super().fail(error)
+                return
+            if type(target) is tuple:
+                # A timed hold: queue the wake event as the grant, where
+                # acquire() would have queued its grant event.
+                try:
+                    resource, _, _ = target
+                    claim = resource._claim
+                except (AttributeError, ValueError):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded a malformed "
+                        f"tuple {target!r}, expected an Event or a "
+                        f"timed-hold request") from None
+                self._hold = target
+                wake = self._wake
+                wake.callbacks = self._granted_cb
+                if claim(wake):
+                    sim = self.sim
+                    sim._sequence += 1
+                    sim._fifo.append((sim._sequence, wake))
+                else:
+                    # Queued: release() will succeed() it.
+                    wake._triggered = False
                 return
             try:
                 if target._processed:
@@ -221,6 +274,21 @@ class Process(Event):
             else:
                 target.callbacks = [callbacks, self._resume_cb]
             return
+
+    def _granted(self, wake: Event) -> None:
+        """The hold's slot was granted: schedule its timed half on ``wake``
+        with the next sequence number, as a :class:`Timeout` would be."""
+        resource, seconds, units = self._hold
+        if units is not None:
+            seconds = resource._hold_seconds(seconds, units)
+        wake.callbacks = self._resume_cb
+        wake._value = None
+        sim = self.sim
+        sim._sequence += 1
+        if seconds:
+            heappush(sim._queue, (sim._now + seconds, sim._sequence, wake))
+        else:
+            sim._fifo.append((sim._sequence, wake))
 
 
 class _AllOfState:

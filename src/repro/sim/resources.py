@@ -9,6 +9,13 @@ Two primitives cover every contention point in the storage/CPU model:
   of waiters.  This models the context-switch convoy the paper observed for
   tiny samples (Sec. 4.4 observation 1: 100,000 context switches/s at
   0.01 MB samples erase the benefit of multi-threading).
+
+A process holds either one for a fixed time by yielding the request
+:meth:`Resource.held_for` (or :meth:`Lock.held_for`) builds; the kernel
+then grants, holds and releases the slot without a generator resume or
+an event allocation in between (see :class:`repro.sim.events.Process`).
+``acquire()`` / ``release()`` stay for holders whose release is not
+timed.
 """
 
 from __future__ import annotations
@@ -16,14 +23,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator, Optional
 
-from repro.errors import ResourceError
-from repro.sim.events import Event, Simulation, Timeout
+from repro.errors import ResourceError, SimulationError
+from repro.sim.events import Event, Simulation
+
+#: What ``held_for`` builds and a process yields: ``(resource, seconds,
+#: None)`` for a fixed hold, ``(lock, per_unit, units)`` for one whose
+#: time :meth:`Lock._hold_seconds` computes at grant.  A plain tuple,
+#: because one is built per hold.
+HoldRequest = tuple["Resource", float, Optional[float]]
 
 
 class Resource:
     """A counting semaphore with FIFO granting.
 
     Usage inside a process::
+
+        yield resource.held_for(service_time)
+
+    which is event-for-event the same as::
 
         yield resource.acquire()
         try:
@@ -54,19 +71,27 @@ class Resource:
         """Number of processes waiting for a slot."""
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted."""
-        grant = Event(self.sim)
-        if self._in_use < self.capacity:
-            # Uncontended acquisition: grant the slot immediately.
-            in_use = self._in_use + 1
+    def _claim(self, grant: Event) -> bool:
+        """Take a slot for ``grant`` now (``True``) or queue it (``False``).
+
+        A queued grant is triggered by :meth:`release`, in FIFO order.
+        """
+        in_use = self._in_use
+        if in_use < self.capacity:
+            in_use += 1
             self._in_use = in_use
             self.total_acquisitions += 1
             if in_use > self.peak_in_use:
                 self.peak_in_use = in_use
+            return True
+        self._waiters.append(grant)
+        return False
+
+    def acquire(self) -> Event:
+        """Return an event that fires when a slot is granted."""
+        grant = Event(self.sim)
+        if self._claim(grant):
             grant.succeed(self)
-        else:
-            self._waiters.append(grant)
         return grant
 
     def release(self) -> None:
@@ -82,13 +107,15 @@ class Resource:
         else:
             self._in_use = in_use - 1
 
-    def use(self, service_time: float) -> Generator[Event, None, None]:
+    def held_for(self, seconds: float) -> HoldRequest:
+        """A request to yield: acquire a slot, hold it ``seconds``, release."""
+        if seconds < 0:
+            raise SimulationError(f"negative hold: {seconds}")
+        return (self, seconds, None)
+
+    def use(self, service_time: float) -> Generator[HoldRequest, None, None]:
         """Process helper: acquire, hold for ``service_time``, release."""
-        yield self.acquire()
-        try:
-            yield Timeout(self.sim, service_time)
-        finally:
-            self.release()
+        yield self.held_for(service_time)
 
 
 class Lock(Resource):
@@ -107,37 +134,34 @@ class Lock(Resource):
         self.convoy_overhead = convoy_overhead
         self.max_convoy_waiters = max_convoy_waiters
 
-    def contention_penalty(self) -> float:
-        """Extra hold time induced by the current queue length."""
-        waiters = min(self.queued, self.max_convoy_waiters)
-        return waiters * self.convoy_overhead
+    def held_for(self, per_unit: float, units: float = 1.0) -> HoldRequest:
+        """A request to yield: hold for ``units`` work items.
 
-    def hold(self, base_time: float) -> Generator[Event, None, None]:
+        The hold lasts ``units * (per_unit + penalty)``, where the convoy
+        penalty is taken from the queue length when the lock is granted.
+        """
+        if per_unit < 0 or units < 0:
+            raise SimulationError(
+                f"negative hold: {units} x {per_unit}")
+        return (self, per_unit, units)
+
+    def _hold_seconds(self, per_unit: float, units: float) -> float:
+        """Hold time of a :meth:`held_for` request granted now."""
+        waiters = len(self._waiters)
+        if waiters > self.max_convoy_waiters:
+            waiters = self.max_convoy_waiters
+        return units * (per_unit + waiters * self.convoy_overhead)
+
+    def hold(self, base_time: float) -> Generator[HoldRequest, None, None]:
         """Acquire, hold for ``base_time`` plus convoy penalty, release."""
-        yield self.acquire()
-        try:
-            waiters = len(self._waiters)
-            if waiters > self.max_convoy_waiters:
-                waiters = self.max_convoy_waiters
-            yield Timeout(self.sim,
-                          base_time + waiters * self.convoy_overhead)
-        finally:
-            self.release()
+        yield self.held_for(base_time)
 
     def hold_scaled(self, per_unit_time: float,
-                    units: float) -> Generator[Event, None, None]:
+                    units: float) -> Generator[HoldRequest, None, None]:
         """Hold for ``units`` work items, paying convoy overhead *per unit*.
 
         Used when samples are batched into jobs: a job of k samples holds
         the lock once but still pays k context-switch penalties, so the
         batching optimisation of the simulator does not dilute contention.
         """
-        yield self.acquire()
-        try:
-            waiters = len(self._waiters)
-            if waiters > self.max_convoy_waiters:
-                waiters = self.max_convoy_waiters
-            per_unit = per_unit_time + waiters * self.convoy_overhead
-            yield Timeout(self.sim, units * per_unit)
-        finally:
-            self.release()
+        yield self.held_for(per_unit_time, units)

@@ -445,7 +445,7 @@ class StreamingService:
         self._live_workers -= 1
 
     def _request_body(self, ctx: _TenantStream, record: RequestRecord
-                      ) -> Generator[Event, None, None]:
+                      ) -> Generator[object, None, None]:
         """Serve one request batch through the shared resource model.
 
         Expression-for-expression the per-job body of
@@ -480,51 +480,22 @@ class StreamingService:
             result.cache_misses += 1
             result.bytes_from_storage += disk_bytes
             if opens > 0:
-                yield metadata.acquire()
-                try:
-                    yield Timeout(sim, opens * ctx.open_latency
-                                  * ctx.open_factor)
-                finally:
-                    metadata.release()
+                yield metadata.held_for(opens * ctx.open_latency
+                                        * ctx.open_factor)
             yield read_link.transfer(disk_bytes, "")
             page_cache.insert(chunk_key, disk_bytes)
         yield Timeout(sim, k * ctx.overhead_ps)
         if ctx.deser_ps is not None:
             seconds = k * ctx.deser_ps
             machine.cpu_busy_seconds += seconds
-            yield cores.acquire()
-            try:
-                yield Timeout(sim, seconds)
-            finally:
-                cores.release()
+            yield cores.held_for(seconds)
         for holds_gil, cpu_seconds in ctx.online_charges:
             if holds_gil:
-                yield gil.acquire()
-                try:
-                    waiters = len(gil._waiters)
-                    if waiters > gil.max_convoy_waiters:
-                        waiters = gil.max_convoy_waiters
-                    per_unit = cpu_seconds + waiters * gil.convoy_overhead
-                    yield Timeout(sim, k * per_unit)
-                finally:
-                    gil.release()
+                yield gil.held_for(cpu_seconds, k)
             else:
                 machine.cpu_busy_seconds += k * cpu_seconds
-                yield cores.acquire()
-                try:
-                    yield Timeout(sim, k * cpu_seconds)
-                finally:
-                    cores.release()
-        yield dispatch.acquire()
-        try:
-            waiters = len(dispatch._waiters)
-            if waiters > dispatch.max_convoy_waiters:
-                waiters = dispatch.max_convoy_waiters
-            per_unit = (machine.dispatch_cost
-                        + waiters * dispatch.convoy_overhead)
-            yield Timeout(sim, k * per_unit)
-        finally:
-            dispatch.release()
+                yield cores.held_for(k * cpu_seconds)
+        yield dispatch.held_for(machine.dispatch_cost, k)
 
     # -- reporting -----------------------------------------------------------
 

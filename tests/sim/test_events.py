@@ -108,6 +108,18 @@ def test_yielding_non_event_raises():
         sim.run_process(bad())
 
 
+@pytest.mark.parametrize("request_", [(), (1.0, 2.0), (1.0, 2.0, 3.0),
+                                      ("cores", 1.0, 1.0)])
+def test_yielding_malformed_tuple_raises(request_):
+    sim = Simulation()
+
+    def bad():
+        yield request_  # not a held_for() request
+
+    with pytest.raises(SimulationError, match="expected an Event"):
+        sim.run_process(bad())
+
+
 def test_deadlock_detected():
     sim = Simulation()
     never = sim.event()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ResourceError
+from repro.errors import ResourceError, SimulationError
 from repro.sim.events import Simulation, all_of
 from repro.sim.resources import Lock, Resource
 
@@ -156,3 +156,34 @@ def test_serialized_lock_defeats_parallelism():
         return sim.now
 
     assert run(8) >= run(1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda sim: Resource(sim, 1).held_for(-1.0),
+    lambda sim: Lock(sim).held_for(-1.0),
+    lambda sim: Lock(sim).held_for(1.0, -2.0),
+])
+def test_negative_hold_rejected_when_built(build):
+    with pytest.raises(SimulationError, match="negative hold"):
+        build(Simulation())
+
+
+def test_zero_duration_hold_resolves_at_once_through_the_fifo():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1)
+
+    def proc():
+        yield resource.held_for(0.0)
+        return sim.now
+
+    process = sim.process(proc())
+    sim.step()  # bootstrap: the process yields the hold, the grant queues
+    assert not sim._queue and len(sim._fifo) == 1
+    sim.step()  # grant: the zero-length timed half queues behind it
+    assert not sim._queue and len(sim._fifo) == 1
+    assert resource.in_use == 1
+    sim.step()  # timed half: release, then the process returns
+    assert resource.in_use == 0
+    sim.run()
+    assert process.value == 0.0
+    assert sim.events_processed == 4
