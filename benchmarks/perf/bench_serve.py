@@ -11,7 +11,10 @@ Runs the pinned scenarios from :mod:`scenarios` and writes
                      latency SLOs, bounded queues);
 * **ctl**         -- the control-plane chaos scenario (long-horizon
                      operations trace under the seeded fault timeline);
-* **link10k**     -- the pure-kernel 10k-transfer link microbenchmark.
+* **link10k**     -- the pure-kernel 10k-transfer link microbenchmark;
+* **cold_start**  -- fresh-interpreter ``presto plan`` launches: median
+                     wall seconds, ``repro`` modules loaded and whether
+                     numpy was (the simulator never needs it).
 
 Wall seconds are machine-dependent -- track the trend, not the absolute.
 The simulated metrics and the *event counts* are deterministic: they
@@ -33,8 +36,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -42,6 +49,48 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import scenarios  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
+ROOT = Path(__file__).resolve().parent.parent.parent
+
+#: The spec the cold-start launches plan, and how many launches to time.
+COLD_START_SPEC = "examples/experiments/serve_bursty_64.yaml"
+COLD_START_LAUNCHES = 5
+
+#: Runs one ``presto plan`` in-process, then reports what it imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["plan", sys.argv[1]])
+if code:
+    sys.exit(code)
+print(json.dumps({"numpy_loaded": "numpy" in sys.modules,
+                  "repro_modules": sum(1 for name in sys.modules
+                                       if name.split(".")[0] == "repro")}))
+"""
+
+
+def run_cold_start(launches: int = COLD_START_LAUNCHES) -> dict:
+    """Cold-start cost of ``presto plan`` on the bursty serve example.
+
+    Each launch is a fresh interpreter, so the wall time covers
+    interpreter start and every import the CLI path makes.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plan = [sys.executable, "-m", "repro.cli", "plan", COLD_START_SPEC]
+    walls = []
+    for _ in range(launches):
+        started = time.perf_counter()
+        subprocess.run(plan, cwd=ROOT, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        walls.append(time.perf_counter() - started)
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, COLD_START_SPEC], cwd=ROOT,
+        env=env, check=True, capture_output=True, text=True)
+    imports = json.loads(probe.stdout)
+    return {"spec": COLD_START_SPEC, "launches": launches,
+            "median_wall_seconds": round(statistics.median(walls), 3),
+            "repro_modules": imports["repro_modules"],
+            "numpy_loaded": imports["numpy_loaded"]}
 
 
 def run_suite(full: bool = False) -> dict:
@@ -60,6 +109,7 @@ def run_suite(full: bool = False) -> dict:
         "stream": stream,
         "ctl": ctl,
         "link10k": link,
+        "cold_start": run_cold_start(),
     }
     if full:
         snapshot["sweep_full"] = scenarios.run_sweep_full()
@@ -194,6 +244,10 @@ def main() -> int:
     link = snapshot["link10k"]
     print(f"  link10k: {link['wall_seconds']}s wall, "
           f"{link['events']} events ({link['events_per_sec']}/s)")
+    cold = snapshot["cold_start"]
+    print(f"  cold_start[presto plan]: {cold['median_wall_seconds']}s "
+          f"median of {cold['launches']}, {cold['repro_modules']} repro "
+          f"modules, numpy loaded: {cold['numpy_loaded']}")
     return 0
 
 

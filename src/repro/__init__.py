@@ -33,18 +33,32 @@ spec and runs it through the Session facade (``presto run``)::
     print(artifact.report)
 """
 
-from repro.backends import (AnalyticModel, Environment, InProcessBackend,
-                            RunConfig, SimulatedBackend)
-from repro.core import (Frame, ObjectiveWeights, Strategy, StrategyAnalysis,
-                        StrategyProfiler, enumerate_strategies)
-from repro.core.autotune import AutoTuner
-from repro.diagnosis import BottleneckDoctor
-from repro.exec import ProfileCache, SweepEngine, SweepResult
-from repro.pipelines import PipelineSpec, all_pipelines, get_pipeline
-from repro.serve import (JobSpec, PreprocessingService, ServiceReport,
-                         generate_trace, sweep_policies)
-from repro.api import (ExperimentPlan, ExperimentSpec, RunArtifact,
-                       Session, load_spec)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.loader": ("load_spec",),
+    "repro.api.plan": ("ExperimentPlan",),
+    "repro.api.spec": ("ExperimentSpec",),
+    "repro.api.artifact": ("RunArtifact",),
+    "repro.api.session": ("Session",),
+    "repro.backends.analytic": ("AnalyticModel",),
+    "repro.backends.base": ("Environment", "RunConfig"),
+    "repro.backends.inprocess": ("InProcessBackend",),
+    "repro.backends.simulated": ("SimulatedBackend",),
+    "repro.core.analysis": ("ObjectiveWeights", "StrategyAnalysis"),
+    "repro.core.autotune": ("AutoTuner",),
+    "repro.core.frame": ("Frame",),
+    "repro.core.profiler": ("StrategyProfiler",),
+    "repro.core.strategy": ("Strategy", "enumerate_strategies"),
+    "repro.diagnosis.doctor": ("BottleneckDoctor",),
+    "repro.exec.cache": ("ProfileCache",),
+    "repro.exec.engine": ("SweepEngine", "SweepResult"),
+    "repro.pipelines.base": ("PipelineSpec",),
+    "repro.pipelines.registry": ("all_pipelines", "get_pipeline"),
+    "repro.serve.jobs": ("JobSpec", "generate_trace"),
+    "repro.serve.service": ("PreprocessingService", "ServiceReport"),
+    "repro.serve.sweep": ("sweep_policies",),
+})
 
 __version__ = "1.1.0"
 

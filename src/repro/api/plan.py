@@ -125,7 +125,7 @@ class ExperimentPlan:
 def build_plan(spec: ExperimentSpec) -> ExperimentPlan:
     """Resolve ``spec`` into an :class:`ExperimentPlan` (no execution)."""
     from repro.api.resolve import resolve_pipeline
-    from repro.exec.engine import strategies_for
+    from repro.core.strategy import strategies_for
 
     spec.validate()
     config = spec.run.to_run_config()

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
@@ -86,6 +87,16 @@ def _check(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """``value`` is a finite number and not a bool (``True`` is an
+    ``int`` in Python); with ``integer``, an ``int`` as well."""
+    if isinstance(value, bool):
+        return False
+    if integer:
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Per-run strategy knobs; maps 1:1 onto
@@ -98,10 +109,10 @@ class RunSpec:
     shuffle_buffer: int = 0
 
     def validate(self) -> None:
-        _check(isinstance(self.threads, int) and self.threads >= 1,
+        _check(_is_number(self.threads, integer=True) and self.threads >= 1,
                f"run.threads must be a positive integer, "
                f"got {self.threads!r}")
-        _check(isinstance(self.epochs, int) and self.epochs >= 1,
+        _check(_is_number(self.epochs, integer=True) and self.epochs >= 1,
                f"run.epochs must be a positive integer, got {self.epochs!r}")
         _check(self.compression in _COMPRESSIONS,
                f"run.compression must be one of {_COMPRESSIONS}, "
@@ -109,7 +120,7 @@ class RunSpec:
         _check(self.cache_mode in _CACHE_MODES,
                f"run.cache_mode must be one of {_CACHE_MODES}, "
                f"got {self.cache_mode!r}")
-        _check(isinstance(self.shuffle_buffer, int)
+        _check(_is_number(self.shuffle_buffer, integer=True)
                and self.shuffle_buffer >= 0,
                f"run.shuffle_buffer must be >= 0, "
                f"got {self.shuffle_buffer!r}")
@@ -158,7 +169,7 @@ class ExecSpec:
     progress: bool = False
 
     def validate(self) -> None:
-        _check(isinstance(self.jobs, int) and self.jobs >= 1,
+        _check(_is_number(self.jobs, integer=True) and self.jobs >= 1,
                f"executor.jobs must be a positive integer, got {self.jobs!r}")
         _check(self.cache_dir is None or isinstance(self.cache_dir, str),
                f"executor.cache_dir must be a directory path or null, "
@@ -187,12 +198,14 @@ class TuneSpec:
     def validate(self) -> None:
         weights = (self.preprocessing_weight, self.storage_weight,
                    self.throughput_weight)
-        _check(all(isinstance(w, (int, float)) and w >= 0 for w in weights),
-               f"tune weights must be non-negative numbers, got {weights}")
+        _check(all(_is_number(w) and w >= 0 for w in weights),
+               f"tune weights must be finite non-negative numbers, "
+               f"got {weights}")
         _check(any(weights),
                "at least one tune weight must be positive")
         _check(bool(self.threads)
-               and all(isinstance(t, int) and t >= 1 for t in self.threads),
+               and all(_is_number(t, integer=True) and t >= 1
+                       for t in self.threads),
                f"tune.threads must be positive integers, "
                f"got {self.threads!r}")
         _check(bool(self.compressions)
@@ -203,7 +216,7 @@ class TuneSpec:
                and all(m in _CACHE_MODES for m in self.cache_modes),
                f"tune.cache_modes entries must be among {_CACHE_MODES}, "
                f"got {self.cache_modes!r}")
-        _check(isinstance(self.screen_keep, (int, float))
+        _check(_is_number(self.screen_keep)
                and 0.0 < self.screen_keep <= 1.0,
                f"tune.screen_keep must be in (0, 1], "
                f"got {self.screen_keep!r}")
@@ -223,10 +236,11 @@ class DiagnoseSpec:
     sample_count: Optional[int] = None
 
     def validate(self) -> None:
-        _check(isinstance(self.verify_top, int) and self.verify_top >= 0,
+        _check(_is_number(self.verify_top, integer=True)
+               and self.verify_top >= 0,
                f"diagnose.verify_top must be >= 0, got {self.verify_top!r}")
         _check(self.sample_count is None
-               or (isinstance(self.sample_count, int)
+               or (_is_number(self.sample_count, integer=True)
                    and self.sample_count >= 1),
                f"diagnose.sample_count must be a positive integer or null, "
                f"got {self.sample_count!r}")
@@ -243,10 +257,10 @@ class ServeSpec:
     tie_break: str = "arrival"
 
     def validate(self) -> None:
-        _check(isinstance(self.tenants, int) and self.tenants >= 1,
+        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
                f"serve.tenants must be a positive integer, "
                f"got {self.tenants!r}")
-        _check(isinstance(self.slots, int) and self.slots >= 1,
+        _check(_is_number(self.slots, integer=True) and self.slots >= 1,
                f"serve.slots must be a positive integer, got {self.slots!r}")
         resolve_trace(self.trace)
         resolve_policy(self.policy, allow_all=True)
@@ -282,10 +296,10 @@ class ControlSpec:
     autoscale_interval: float = 600.0
 
     def validate(self) -> None:
-        _check(isinstance(self.tenants, int) and self.tenants >= 1,
+        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
                f"control.tenants must be a positive integer, "
                f"got {self.tenants!r}")
-        _check(isinstance(self.slots, int) and self.slots >= 1,
+        _check(_is_number(self.slots, integer=True) and self.slots >= 1,
                f"control.slots must be a positive integer, "
                f"got {self.slots!r}")
         resolve_trace(self.trace)
@@ -293,34 +307,35 @@ class ControlSpec:
         _check(self.tie_break in _TIE_BREAKS,
                f"control.tie_break must be one of {_TIE_BREAKS}, "
                f"got {self.tie_break!r}")
-        _check(isinstance(self.max_attempts, int) and self.max_attempts >= 1,
+        _check(_is_number(self.max_attempts, integer=True)
+               and self.max_attempts >= 1,
                f"control.max_attempts must be a positive integer, "
                f"got {self.max_attempts!r}")
-        _check(isinstance(self.backoff_base, (int, float))
+        _check(_is_number(self.backoff_base)
                and self.backoff_base >= 0,
-               f"control.backoff_base must be >= 0, "
+               f"control.backoff_base must be a finite number >= 0, "
                f"got {self.backoff_base!r}")
-        _check(isinstance(self.backoff_factor, (int, float))
+        _check(_is_number(self.backoff_factor)
                and self.backoff_factor >= 1.0,
-               f"control.backoff_factor must be >= 1, "
+               f"control.backoff_factor must be a finite number >= 1, "
                f"got {self.backoff_factor!r}")
-        _check(isinstance(self.fault_rate, (int, float))
+        _check(_is_number(self.fault_rate)
                and 0.0 <= self.fault_rate <= 1.0,
                f"control.fault_rate must be within [0, 1], "
                f"got {self.fault_rate!r}")
         _check(self.admission_limit is None
-               or (isinstance(self.admission_limit, int)
+               or (_is_number(self.admission_limit, integer=True)
                    and self.admission_limit >= 1),
                f"control.admission_limit must be a positive integer or "
                f"null, got {self.admission_limit!r}")
-        _check(isinstance(self.max_slots, int)
+        _check(_is_number(self.max_slots, integer=True)
                and (self.max_slots == 0 or self.max_slots >= self.slots),
                f"control.max_slots must be 0 (auto) or >= slots, "
                f"got {self.max_slots!r}")
-        _check(isinstance(self.autoscale_interval, (int, float))
+        _check(_is_number(self.autoscale_interval)
                and self.autoscale_interval > 0,
-               f"control.autoscale_interval must be positive, "
-               f"got {self.autoscale_interval!r}")
+               f"control.autoscale_interval must be a finite positive "
+               f"number, got {self.autoscale_interval!r}")
 
     def retry_policy(self):
         """The equivalent :class:`~repro.ctl.retry.RetryPolicy`."""
@@ -362,29 +377,31 @@ class StreamSpec:
     shed: bool = False
 
     def validate(self) -> None:
-        _check(isinstance(self.tenants, int) and self.tenants >= 1,
+        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
                f"stream.tenants must be a positive integer, "
                f"got {self.tenants!r}")
         resolve_arrival(self.arrival)
-        _check(isinstance(self.rate, (int, float)) and self.rate > 0,
-               f"stream.rate must be a positive number, got {self.rate!r}")
-        _check(isinstance(self.requests, int) and self.requests >= 1,
+        _check(_is_number(self.rate) and self.rate > 0,
+               f"stream.rate must be a finite positive number, "
+               f"got {self.rate!r}")
+        _check(_is_number(self.requests, integer=True) and self.requests >= 1,
                f"stream.requests must be a positive integer, "
                f"got {self.requests!r}")
-        _check(isinstance(self.batch, int) and self.batch >= 1,
+        _check(_is_number(self.batch, integer=True) and self.batch >= 1,
                f"stream.batch must be a positive integer, "
                f"got {self.batch!r}")
-        _check(isinstance(self.workers, int) and self.workers >= 1,
+        _check(_is_number(self.workers, integer=True) and self.workers >= 1,
                f"stream.workers must be a positive integer, "
                f"got {self.workers!r}")
-        _check(isinstance(self.queue_bound, int) and self.queue_bound >= 0,
+        _check(_is_number(self.queue_bound, integer=True)
+               and self.queue_bound >= 0,
                f"stream.queue_bound must be >= 0 (0 = unbounded), "
                f"got {self.queue_bound!r}")
         _check(self.slo_stretch is None
-               or (isinstance(self.slo_stretch, (int, float))
+               or (_is_number(self.slo_stretch)
                    and self.slo_stretch > 0),
-               f"stream.slo_stretch must be a positive number or null, "
-               f"got {self.slo_stretch!r}")
+               f"stream.slo_stretch must be a finite positive number or "
+               f"null, got {self.slo_stretch!r}")
         _check(isinstance(self.shed, bool),
                f"stream.shed must be a boolean, got {self.shed!r}")
 
@@ -424,16 +441,17 @@ class FaultsSpec:
         for name in ("stragglers", "slowdowns", "brownouts",
                      "blackouts", "crash_windows"):
             value = getattr(self, name)
-            _check(isinstance(value, int) and value >= 0,
+            _check(_is_number(value, integer=True) and value >= 0,
                    f"faults.{name} must be an integer >= 0, "
                    f"got {value!r}")
-        _check(isinstance(self.severity, (int, float))
+        _check(_is_number(self.severity)
                and 0.0 < self.severity <= 1.0,
                f"faults.severity must be in (0, 1], "
                f"got {self.severity!r}")
-        _check(isinstance(self.horizon, (int, float)) and self.horizon > 0,
-               f"faults.horizon must be positive, got {self.horizon!r}")
-        _check(isinstance(self.checkpoint_epochs, int)
+        _check(_is_number(self.horizon) and self.horizon > 0,
+               f"faults.horizon must be a finite positive number, "
+               f"got {self.horizon!r}")
+        _check(_is_number(self.checkpoint_epochs, integer=True)
                and self.checkpoint_epochs >= 0,
                f"faults.checkpoint_epochs must be an integer >= 0, "
                f"got {self.checkpoint_epochs!r}")
@@ -465,7 +483,8 @@ class FanoutSpec:
 
     def validate(self) -> None:
         _check(bool(self.trainers)
-               and all(isinstance(t, int) and t >= 1 for t in self.trainers),
+               and all(_is_number(t, integer=True) and t >= 1
+                       for t in self.trainers),
                f"fanout.trainers must be positive integers, "
                f"got {self.trainers!r}")
         _check(self.strategy is None or isinstance(self.strategy, str),
@@ -532,7 +551,7 @@ class ExperimentSpec:
                    f"got {len(self.pipelines)}: {list(self.pipelines)!r}")
         for pipeline in self.pipelines:
             resolve_pipeline_name(pipeline)
-        _check(isinstance(self.seed, int),
+        _check(_is_number(self.seed, integer=True),
                f"seed must be an integer, got {self.seed!r}")
         _check(isinstance(self.name, str),
                f"name must be a string, got {self.name!r}")

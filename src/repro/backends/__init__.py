@@ -15,11 +15,15 @@ dstat-style counters.
   NumPy ops on real bytes through the threaded pipeline runtime.
 """
 
-from repro.backends.base import (Environment, EpochResult, OfflineResult,
-                                 RunConfig, StrategyRunResult)
-from repro.backends.simulated import SimulatedBackend
-from repro.backends.analytic import AnalyticModel
-from repro.backends.inprocess import InProcessBackend
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.backends.base": ("Environment", "EpochResult", "OfflineResult",
+                            "RunConfig", "StrategyRunResult"),
+    "repro.backends.simulated": ("SimulatedBackend",),
+    "repro.backends.analytic": ("AnalyticModel",),
+    "repro.backends.inprocess": ("InProcessBackend",),
+})
 
 __all__ = [
     "Environment",

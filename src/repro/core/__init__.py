@@ -15,10 +15,14 @@ Strategy Optimizer.  The central objects are:
   paper Sec. 3.1.
 """
 
-from repro.core.frame import Frame
-from repro.core.strategy import Strategy, enumerate_strategies
-from repro.core.profiler import StrategyProfiler, StrategyProfile
-from repro.core.analysis import ObjectiveWeights, StrategyAnalysis
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.frame": ("Frame",),
+    "repro.core.strategy": ("Strategy", "enumerate_strategies"),
+    "repro.core.profiler": ("StrategyProfiler", "StrategyProfile"),
+    "repro.core.analysis": ("ObjectiveWeights", "StrategyAnalysis"),
+})
 
 #: Extension modules (paper Sec. 3.1 / Sec. 7 discussion items):
 #: repro.core.economics     - cloud-cost objective

@@ -58,6 +58,15 @@ class Strategy:
         return hashlib.sha1(payload.encode()).hexdigest()[:10]
 
 
+def strategies_for(pipeline: PipelineSpec,
+                    config: RunConfig) -> list[Strategy]:
+    """Every legal split of ``pipeline`` under ``config`` (compressing
+    the unprocessed representation is meaningless -- paper Sec. 4.3)."""
+    return [Strategy(plan, config)
+            for plan in pipeline.split_points()
+            if not (plan.is_unprocessed and config.compression)]
+
+
 def enumerate_strategies(
         pipeline: PipelineSpec,
         threads: Sequence[int] = (8,),

@@ -13,12 +13,16 @@ into parallel-and-memoized:
 * :mod:`repro.exec.events` -- the progress event stream for long sweeps.
 """
 
-from repro.exec.cache import CacheStats, ProfileCache
-from repro.exec.engine import SweepEngine, SweepResult
-from repro.exec.events import ProgressPrinter, SweepEvent
-from repro.exec.executors import (ProcessExecutor, SerialExecutor,
-                                  ThreadExecutor, resolve_executor)
-from repro.exec.fingerprint import job_fingerprint
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exec.cache": ("CacheStats", "ProfileCache"),
+    "repro.exec.engine": ("SweepEngine", "SweepResult"),
+    "repro.exec.events": ("ProgressPrinter", "SweepEvent"),
+    "repro.exec.executors": ("ProcessExecutor", "SerialExecutor",
+                             "ThreadExecutor", "resolve_executor"),
+    "repro.exec.fingerprint": ("job_fingerprint",),
+})
 
 __all__ = [
     "CacheStats",

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 from repro.backends.base import Backend, Environment, RunConfig, \
     StrategyRunResult
 from repro.core.profiler import StrategyProfile
-from repro.core.strategy import Strategy
+from repro.core.strategy import Strategy, strategies_for
 from repro.errors import SweepError
 from repro.exec.cache import ProfileCache
 from repro.exec.events import (CACHE_HIT, JOB_DONE, SWEEP_END, SWEEP_START,
@@ -84,15 +84,6 @@ def _execute_payload(payload: _JobPayload,
     runs = [payload.backend.run(plan, payload.config)
             for _ in range(payload.runs_total)]
     return runs, time.perf_counter() - started
-
-
-def strategies_for(pipeline: PipelineSpec,
-                    config: RunConfig) -> list[Strategy]:
-    """Every legal split of ``pipeline`` under ``config`` (compressing
-    the unprocessed representation is meaningless -- paper Sec. 4.3)."""
-    return [Strategy(plan, config)
-            for plan in pipeline.split_points()
-            if not (plan.is_unprocessed and config.compression)]
 
 
 @dataclass

@@ -10,9 +10,13 @@
   MP3, FLAC, HDF5, HTML/TXT) with realistic size ratios.
 """
 
-from repro.formats.record import (RecordCorruptionError, read_records,
-                                  record_overhead, write_records)
-from repro.formats.tensor import deserialize_tensor, serialize_tensor
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.formats.record": ("RecordCorruptionError", "read_records",
+                             "record_overhead", "write_records"),
+    "repro.formats.tensor": ("deserialize_tensor", "serialize_tensor"),
+})
 
 __all__ = [
     "read_records",

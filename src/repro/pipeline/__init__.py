@@ -8,7 +8,11 @@ iterate.  Iteration spins up real worker threads, so GIL effects on
 Python-heavy map functions are genuine, not simulated.
 """
 
-from repro.pipeline.dataset import PipelineDataset
-from repro.pipeline.io import read_shards, write_shards
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pipeline.dataset": ("PipelineDataset",),
+    "repro.pipeline.io": ("read_shards", "write_shards"),
+})
 
 __all__ = ["PipelineDataset", "read_shards", "write_shards"]

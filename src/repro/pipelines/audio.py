@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from repro import calibration as cal
 from repro.datasets.catalog import COMMONVOICE_MP3, LIBRISPEECH_FLAC
-from repro.formats import codecs
-from repro.ops import audio as audio_ops
 from repro.pipelines.base import (NATIVE, PipelineSpec, Representation,
                                   StepSpec)
 from repro.units import GB, MB
@@ -34,16 +32,23 @@ FLAC_CLIP_SECONDS = 12.5
 FLAC_SAMPLE_RATE = 16_000
 
 
+# Step bodies import their transforms (and numpy): only the in-process
+# backend calls them, so a simulated run never loads the array layer.
+
+
 def _decode_mp3(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_mp3(sample)
 
 
 def _decode_flac(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_flac(sample)
 
 
 def _make_spectrogram(rate: int):
     def spectrogram(sample, rng):
+        from repro.ops import audio as audio_ops
         return audio_ops.spectrogram_encode(sample, rate)
     return spectrogram
 

@@ -14,13 +14,9 @@ obs. 1).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import calibration as cal
 from repro.datasets.catalog import CUBE_JPG, CUBE_PNG, ILSVRC2012
-from repro.formats import codecs
 from repro.formats.record import RECORD_FRAMING_BYTES
-from repro.ops import image as image_ops
 from repro.pipelines.base import (EXTERNAL, NATIVE, PipelineSpec,
                                   Representation, StepSpec)
 from repro.units import GB
@@ -31,29 +27,39 @@ RESIZE_HW = (299, 299)
 CROP_HW = (280, 280)
 
 
+# Step bodies import their transforms (and numpy): only the in-process
+# backend calls them, so a simulated run never loads the array layer.
+
+
 def _decode_jpg(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_jpg(sample)
 
 
 def _decode_png(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_png(sample)
 
 
-def _to_uint8(sample: np.ndarray) -> np.ndarray:
+def _to_uint8(sample):
+    import numpy as np
     if sample.dtype == np.uint16:
         return (sample >> 8).astype(np.uint8)
     return sample
 
 
 def _resize(sample, rng):
+    from repro.ops import image as image_ops
     return image_ops.resize_bilinear(_to_uint8(sample), *RESIZE_HW)
 
 
 def _pixel_center(sample, rng):
+    from repro.ops import image as image_ops
     return image_ops.pixel_center(sample)
 
 
 def _random_crop(sample, rng):
+    from repro.ops import image as image_ops
     # Adaptive window: the in-process backend runs on miniature images,
     # so the crop clamps to the actual dimensions (the simulator charges
     # the calibrated full-scale cost regardless).
@@ -63,6 +69,7 @@ def _random_crop(sample, rng):
 
 
 def _greyscale(sample, rng):
+    from repro.ops import image as image_ops
     return image_ops.greyscale(sample)
 
 

@@ -19,18 +19,22 @@ from __future__ import annotations
 
 from repro import calibration as cal
 from repro.datasets.catalog import CREAM
-from repro.formats import codecs
-from repro.ops import nilm as nilm_ops
 from repro.pipelines.base import (EXTERNAL, PipelineSpec, Representation,
                                   StepSpec)
 from repro.units import GB
 
 
+# Step bodies import their transforms (and numpy): only the in-process
+# backend calls them, so a simulated run never loads the array layer.
+
+
 def _decode(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_hdf5(sample)
 
 
 def _aggregate(sample, rng):
+    from repro.ops import nilm as nilm_ops
     return nilm_ops.aggregate_window(sample)
 
 

@@ -17,25 +17,42 @@ This pipeline carries two of the paper's headline effects:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro import calibration as cal
 from repro.datasets.catalog import OPENWEBTEXT
-from repro.formats import codecs
 from repro.formats.record import RECORD_FRAMING_BYTES
-from repro.ops import text as text_ops
 from repro.pipelines.base import (EXTERNAL, NATIVE, PipelineSpec,
                                   Representation, StepSpec)
 from repro.units import GB, MB
 
-#: Shared embedding table for the in-process step (deterministic).
-_EMBEDDING = text_ops.EmbeddingTable(dim=text_ops.EMBEDDING_DIM, seed=7)
+if TYPE_CHECKING:   # pragma: no cover - annotations only
+    from repro.ops.text import BPEVocab, EmbeddingTable
+
+# Step bodies import their transforms (and numpy): only the in-process
+# backend calls them, so a simulated run never loads the array layer.
+
+#: Shared embedding table for the in-process step (deterministic),
+#: built on first in-process use.
+_EMBEDDING_CACHE: dict[str, EmbeddingTable] = {}
 
 #: Small default vocabulary trained lazily on first in-process use.
-_VOCAB_CACHE: dict[str, text_ops.BPEVocab] = {}
+_VOCAB_CACHE: dict[str, BPEVocab] = {}
 
 
-def _get_vocab() -> text_ops.BPEVocab:
+def _get_embedding() -> EmbeddingTable:
+    table = _EMBEDDING_CACHE.get("default")
+    if table is None:
+        from repro.ops import text as text_ops
+        table = text_ops.EmbeddingTable(dim=text_ops.EMBEDDING_DIM, seed=7)
+        _EMBEDDING_CACHE["default"] = table
+    return table
+
+
+def _get_vocab() -> BPEVocab:
     vocab = _VOCAB_CACHE.get("default")
     if vocab is None:
+        from repro.ops import text as text_ops
         corpus = [
             "the quick brown fox jumps over the lazy dog",
             "deep learning pipelines need fast preprocessing",
@@ -48,15 +65,17 @@ def _get_vocab() -> text_ops.BPEVocab:
 
 
 def _decode(sample, rng):
+    from repro.formats import codecs
     return codecs.decode_html(sample)
 
 
 def _bpe_encode(sample, rng):
+    from repro.ops import text as text_ops
     return text_ops.bpe_encode(sample, _get_vocab())
 
 
 def _embed(sample, rng):
-    return _EMBEDDING.embed(sample)
+    return _get_embedding().embed(sample)
 
 
 def build_nlp() -> PipelineSpec:

@@ -16,20 +16,24 @@ Quickstart::
 CLI surface: ``presto serve --tenants 8 --policy cache-aware --seed 0``.
 """
 
-from repro.serve.doctor import (ServiceDiagnosis, ServiceFinding,
-                                cluster_fractions, diagnose_service)
-from repro.serve.fanout import (fan_out_frame_simulated, fan_out_trace,
-                                simulate_fan_out)
-from repro.serve.jobs import (DEFAULT_PIPELINE_MIX, TRACE_KINDS, JobSpec,
-                              bursty_trace, diurnal_trace, generate_trace,
-                              inject_faults, operations_trace,
-                              poisson_trace, steady_trace, with_epochs)
-from repro.serve.policies import (POLICIES, POLICY_NAMES, CacheAwarePolicy,
-                                  FairSharePolicy, FifoPolicy,
-                                  SchedulerPolicy, get_policy)
-from repro.serve.service import (PreprocessingService, ServiceReport,
-                                 TenantJob, percentile)
-from repro.serve.sweep import PolicySweepResult, sweep_policies
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.doctor": ("ServiceDiagnosis", "ServiceFinding",
+                           "cluster_fractions", "diagnose_service"),
+    "repro.serve.fanout": ("fan_out_frame_simulated", "fan_out_trace",
+                           "simulate_fan_out"),
+    "repro.serve.jobs": ("DEFAULT_PIPELINE_MIX", "TRACE_KINDS", "JobSpec",
+                         "bursty_trace", "diurnal_trace", "generate_trace",
+                         "inject_faults", "operations_trace",
+                         "poisson_trace", "steady_trace", "with_epochs"),
+    "repro.serve.policies": ("POLICIES", "POLICY_NAMES", "CacheAwarePolicy",
+                             "FairSharePolicy", "FifoPolicy",
+                             "SchedulerPolicy", "get_policy"),
+    "repro.serve.service": ("PreprocessingService", "ServiceReport",
+                            "TenantJob", "percentile"),
+    "repro.serve.sweep": ("PolicySweepResult", "sweep_policies"),
+})
 
 __all__ = [
     "CacheAwarePolicy",

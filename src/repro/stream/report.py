@@ -12,7 +12,8 @@ a blocked client is a slow client.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from repro.backends.base import Environment
 from repro.errors import ProfilingError
@@ -75,6 +76,17 @@ class RequestRecord:
         return self.latency > self.deadline
 
 
+class StreamTally(NamedTuple):
+    """What one pass over a tenant's finished records derives."""
+
+    #: Completed records, in submission order.
+    completed: list
+    #: Their latencies, in the same order.
+    latencies: list
+    #: Records that missed their deadline (shed ones included).
+    missed: int
+
+
 @dataclass
 class TenantStreamResult:
     """Everything measured about one tenant's request stream."""
@@ -102,10 +114,33 @@ class TenantStreamResult:
             return None
         return self.spec.slo_stretch * self.baseline_batch_seconds
 
+    @cached_property
+    def tally(self) -> StreamTally:
+        """Completions, latencies and deadline misses in one pass.
+
+        Derived on first access and kept: read it only once the run is
+        over (the service builds its report then), because later edits
+        to ``records`` do not show in it.  The arithmetic is that of
+        :attr:`RequestRecord.latency` and :attr:`RequestRecord.missed`.
+        """
+        completed: list = []
+        latencies: list = []
+        missed = 0
+        for record in self.records:
+            latency = None
+            if record.completed is not None:
+                latency = record.completed - record.arrival
+                completed.append(record)
+                latencies.append(latency)
+            if record.shed or (record.deadline is not None
+                               and latency is not None
+                               and latency > record.deadline):
+                missed += 1
+        return StreamTally(completed, latencies, missed)
+
     @property
     def completed(self) -> list:
-        return [record for record in self.records
-                if record.completed is not None]
+        return self.tally.completed
 
     @property
     def shed_count(self) -> int:
@@ -113,7 +148,7 @@ class TenantStreamResult:
 
     @property
     def latencies(self) -> list:
-        return [record.latency for record in self.completed]
+        return self.tally.latencies
 
     def latency_percentile(self, q: float) -> float:
         latencies = self.latencies
@@ -125,8 +160,7 @@ class TenantStreamResult:
         requests count: they never met any SLO)."""
         if not self.records:
             return 0.0
-        return sum(1 for record in self.records
-                   if record.missed) / len(self.records)
+        return self.tally.missed / len(self.records)
 
     @property
     def out_of_order(self) -> int:
@@ -227,8 +261,7 @@ class StreamReport:
         total = self.total_requests
         if not total:
             return 0.0
-        missed = sum(1 for tenant in self.tenants
-                     for record in tenant.records if record.missed)
+        missed = sum(tenant.tally.missed for tenant in self.tenants)
         return missed / total
 
     @property

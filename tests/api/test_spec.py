@@ -116,6 +116,47 @@ def test_section_validation_errors_are_actionable(section, payload,
         spec.validate()
 
 
+#: Every numeric spec field, with the workload kind that validates it.
+NUMERIC_FIELDS = [
+    ("tune", "preprocessing_weight"), ("tune", "storage_weight"),
+    ("tune", "throughput_weight"), ("tune", "screen_keep"),
+    ("control", "backoff_base"), ("control", "backoff_factor"),
+    ("control", "fault_rate"), ("control", "autoscale_interval"),
+    ("stream", "rate"), ("stream", "slo_stretch"),
+    ("faults", "severity"), ("faults", "horizon"),
+]
+#: Integer fields reached through a section, with their workload kind.
+INTEGER_FIELDS = [
+    ("run", "threads"), ("run", "epochs"), ("executor", "jobs"),
+    ("serve", "tenants"), ("serve", "slots"), ("control", "max_attempts"),
+    ("control", "max_slots"), ("stream", "requests"), ("stream", "batch"),
+    ("stream", "queue_bound"), ("faults", "stragglers"),
+    ("faults", "checkpoint_epochs"), ("diagnose", "verify_top"),
+]
+
+
+def _spec_with(section: str, key: str, value) -> dict:
+    kind = {"run": "serve", "executor": "serve",
+            "faults": "control"}.get(section, section)
+    payload = {"kind": kind, section: {key: value}}
+    if kind in SINGLE_PIPELINE_KINDS:
+        payload["pipelines"] = ["MP3"]
+    return payload
+
+
+@pytest.mark.parametrize("section,key", NUMERIC_FIELDS + INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan"), True])
+def test_numbers_must_be_finite_and_not_booleans(section, key, value):
+    with pytest.raises(SpecError, match=f"{section}.{key}|tune weights"):
+        ExperimentSpec.from_dict(_spec_with(section, key, value))
+
+
+def test_seed_must_not_be_a_boolean():
+    with pytest.raises(SpecError, match="seed"):
+        ExperimentSpec.from_dict({"kind": "serve", "seed": True})
+
+
 def test_fanout_strategy_validated_against_pipeline():
     spec = ExperimentSpec(kind="fanout", pipelines=("CV",),
                           fanout=FanoutSpec(strategy="bogus"))

@@ -130,6 +130,26 @@ class TestReportAggregates:
         assert report.bytes_from_storage == sum(
             tenant.bytes_from_storage for tenant in report.tenants)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(queue_bound=1, shed=True, rate=200.0, requests=24),
+        dict(slo_stretch=None), dict(slo_stretch=1.5, workers=2)])
+    def test_tally_matches_the_per_record_properties(self, overrides):
+        """The one-pass tally is exactly the per-record arithmetic."""
+        streams = [make_spec(tenant="a", **overrides),
+                   make_spec(tenant="b", requests=7)]
+        report = StreamingService().run(streams)
+        for tenant in report.tenants:
+            done = [record for record in tenant.records
+                    if record.completed is not None]
+            assert tenant.tally.completed == done
+            assert tenant.tally.latencies == [record.latency
+                                              for record in done]
+            assert tenant.tally.missed == sum(record.missed
+                                              for record in tenant.records)
+        missed = sum(record.missed for tenant in report.tenants
+                     for record in tenant.records)
+        assert report.miss_fraction == missed / report.total_requests
+
     def test_workers_raise_throughput(self):
         _, narrow = run_one(make_spec(workers=1, requests=16, rate=100.0))
         _, wide = run_one(make_spec(workers=4, requests=16, rate=100.0))
