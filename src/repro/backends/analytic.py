@@ -92,7 +92,7 @@ class AnalyticModel:
         disk_bytes = (raw_bytes if plan.is_unprocessed
                       else stored.compressed_bytes_per_sample(
                           config.compression))
-        stream_bw = min(storage.stream_bw, storage.aggregate_bw / threads)
+        stream_bw = storage.stream_share(threads)
         opens_per_sample = ((stored.n_files / pipeline.sample_count)
                             if stored.n_files is not None else 0.0)
         open_concurrency = min(threads, storage.metadata_slots)
@@ -195,8 +195,7 @@ class AnalyticModel:
         per_sample = (
             opens * storage.pipeline_open_latency
             * threads / max(open_concurrency, 1)
-            + source.bytes_per_sample
-            / min(storage.stream_bw, storage.aggregate_bw / threads)
+            + source.bytes_per_sample / storage.stream_share(threads)
             + sum(step.cpu_seconds for step in plan.offline_steps
                   if not step.holds_gil)
             + cal.DESER_FIXED + out_bytes / cal.SER_BW_PER_THREAD

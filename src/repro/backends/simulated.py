@@ -87,6 +87,36 @@ def partition_jobs(sample_count: int, threads: int,
     return plans
 
 
+def build_cluster(environment: Environment, readers: int,
+                  tie_break: str = "admission",
+                  ) -> tuple[Simulation, Machine, StorageCluster]:
+    """A fresh simulation with the machine and storage cluster of
+    ``environment``.
+
+    Ceph serves a fixed striping share per client stream once many
+    readers are configured; the read link's per-stream rate is pinned to
+    the fair share over ``readers`` so partially-idle readers do not
+    transiently exceed it (matches the paper's measured per-strategy
+    network read speeds).  ``tie_break`` orders simultaneous link
+    completions (see :class:`~repro.sim.bandwidth.SharedBandwidth`).
+    """
+    sim = Simulation()
+    machine = Machine(
+        sim, cores=environment.cores,
+        ram_bytes=environment.ram_bytes,
+        page_cache_bytes=cal.PAGE_CACHE_FRACTION * environment.ram_bytes,
+        memory_bw=environment.memory_bw,
+        memory_stream_bw=environment.memory_stream_bw,
+        dispatch_cost=cal.DISPATCH_COST,
+        dispatch_convoy=cal.DISPATCH_CONVOY,
+        gil_convoy=cal.GIL_CONVOY)
+    storage = environment.storage
+    cluster = StorageCluster(sim, storage, memory_link=machine.memory_link,
+                             tie_break=tie_break)
+    cluster.read_link.per_stream_bw = storage.stream_share(readers)
+    return sim, machine, cluster
+
+
 class SimulatedBackend:
     """Deterministic full-scale strategy execution on the DES.
 
@@ -123,27 +153,8 @@ class SimulatedBackend:
             raise ProfilingError(
                 "compression on the unprocessed strategy is not meaningful: "
                 "random file access dominates (paper Sec. 4.3)")
-        sim = Simulation()
-        machine = Machine(
-            sim, cores=self.environment.cores,
-            ram_bytes=self.environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * self.environment.ram_bytes),
-            memory_bw=self.environment.memory_bw,
-            memory_stream_bw=self.environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        cluster = StorageCluster(sim, self.environment.storage,
-                                 memory_link=machine.memory_link)
-        # Ceph serves a fixed striping share per client stream once many
-        # readers are configured; pin the per-stream rate to the fair share
-        # so partially-idle readers do not transiently exceed it (matches
-        # the paper's measured per-strategy network read speeds).
-        storage = self.environment.storage
-        cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / config.threads)
-
+        sim, machine, cluster = build_cluster(self.environment,
+                                              config.threads)
         pipeline = plan.pipeline
         count = pipeline.sample_count
         stored = plan.materialized

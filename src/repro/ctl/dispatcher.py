@@ -37,7 +37,6 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Generator, Optional, Sequence
 
 from dataclasses import dataclass
@@ -46,8 +45,8 @@ from repro.errors import ControlError, InjectedFaultError, SimulationError
 from repro.faults.gate import slo_shed_decision
 from repro.serve.doctor import diagnose_service
 from repro.serve.jobs import JobSpec
-from repro.serve.service import (PreprocessingService, ServiceReport,
-                                 ServiceState, TenantJob)
+from repro.serve.service import (PreprocessingService, ServiceState,
+                                 TenantJob)
 from repro.sim.events import Event
 from repro.ctl import ledger as lifecycle
 from repro.ctl.ledger import (ADMITTED, DEADLETTER, PENDING, RUNNING,
@@ -233,7 +232,8 @@ class Dispatcher(PreprocessingService):
                              parent=self._pending_parents.pop(job_id, None))
                    for job_id, spec in submissions]
         initial_slots = self.slots
-        self._reset()
+        tenant_jobs = [record.job for record in records]
+        self._reset(tenant_jobs)
         self.ledger = ExecutionLedger()
         for callback in self._subscribers:
             self.ledger.subscribe(callback)
@@ -248,8 +248,6 @@ class Dispatcher(PreprocessingService):
         self._autoscale_log = []
         self._active = len(records)
         sim = self._sim
-        tenant_jobs = [record.job for record in records]
-        self._configure_link(tenant_jobs)
         self._set_baselines(tenant_jobs)
         self._tenants = sorted({job.spec.tenant for job in tenant_jobs})
         processes = [sim.process(self._control_process(record),
@@ -266,28 +264,19 @@ class Dispatcher(PreprocessingService):
                         name=f"cancel-{job_id}")
         if self.autoscale is not None:
             sim.process(self._autoscale_process(), name="autoscaler")
-        self._start_faults()
-        self._start_sampler()
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        unfinished = [record.job_id for record, process
-                      in zip(records, processes) if not process.triggered]
-        if unfinished:
-            raise SimulationError(
-                f"control plane drained with unfinished jobs: {unfinished}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
-        stuck = [record.job_id for record in records
-                 if self.ledger.state(record.job_id)
-                 not in TERMINAL_STATES]
-        if stuck:
-            raise SimulationError(
-                f"jobs finished outside a terminal state: {stuck}")
-        service = self._report(tenant_jobs)
-        service.wall_seconds = wall_seconds
-        final_slots, self.slots = self.slots, initial_slots
+        try:
+            self._runtime.run(processes, self._telemetry_live,
+                              self._sample_metrics)
+            stuck = [record.job_id for record in records
+                     if self.ledger.state(record.job_id)
+                     not in TERMINAL_STATES]
+            if stuck:
+                raise SimulationError(
+                    f"jobs finished outside a terminal state: {stuck}")
+            service = self._report(tenant_jobs)
+        finally:
+            # Autoscaled slots last one run, also when the run raises.
+            final_slots, self.slots = self.slots, initial_slots
         return ControlReport(
             service=service, ledger=self.ledger, retry=self.retry_policy,
             records=records, dead_letters=list(self._dead),
@@ -380,11 +369,11 @@ class Dispatcher(PreprocessingService):
                 return
             delay = self.retry_policy.backoff(record.failures)
             detail = f"backoff {delay:g}s"
-            if self._fault_engine is not None:
+            engine = self._runtime.fault_engine
+            if engine is not None:
                 # Retrying into an active brownout burns attempts;
                 # stretch the wait past the window's end instead.
-                stretched = self._fault_engine.stretch_backoff(
-                    sim.now, delay)
+                stretched = engine.stretch_backoff(sim.now, delay)
                 if stretched != delay:
                     detail = (f"backoff {delay:g}s stretched to "
                               f"{stretched:g}s (brownout active)")
@@ -423,14 +412,15 @@ class Dispatcher(PreprocessingService):
         stretch -- never yields, so with shedding off (or no faults) the
         admission path is byte-identical to the historical one.
         """
-        if not self.shed_slo or self._fault_engine is None:
+        engine = self._runtime.fault_engine
+        if not self.shed_slo or engine is None:
             return None
         job = record.job
         slo = job.slo_seconds
         if slo is None or job.baseline_epoch_seconds is None:
             return None
         return slo_shed_decision(job.baseline_epoch_seconds, slo,
-                                 self._fault_engine.capacity_stretch())
+                                 engine.capacity_stretch())
 
     def _resume_epoch(self, record: JobRecord, epoch: int,
                       crashed: bool) -> int:
@@ -592,25 +582,7 @@ class Dispatcher(PreprocessingService):
                    if record.job.granted is not None]
         if not sampled:
             return set()
-        interim = ServiceReport(
-            policy=self.policy.name, slots=self.slots,
-            environment=self.environment, tenants=sampled,
-            makespan=self._sim.now,
-            offline_runs=sum(1 for job in sampled
-                             if job.offline is not None),
-            offline_deduped=sum(1 for job in sampled
-                                if job.offline_shared),
-            bytes_from_storage=sum(epoch.bytes_from_storage
-                                   for job in sampled
-                                   for epoch in job.epochs),
-            bytes_from_cache=sum(epoch.bytes_from_cache
-                                 for job in sampled
-                                 for epoch in job.epochs),
-            bytes_written=self._cluster.bytes_written,
-            files_opened=self._cluster.files_opened,
-            metadata_peak_in_use=self._cluster.metadata.peak_in_use,
-            page_cache_evictions=self._machine.page_cache.evictions,
-            events_processed=self._sim.events_processed)
+        interim = self._report(sampled, makespan=self._sim.now)
         diagnosis = diagnose_service(interim, self.environment)
         return {finding.kind for finding in diagnosis.findings}
 

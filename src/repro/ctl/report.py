@@ -19,6 +19,7 @@ from repro.units import fmt_duration
 from repro.ctl.ledger import (CANCELLED, DEADLETTER, ExecutionLedger,
                               SUCCEEDED, DeadLetter)
 from repro.ctl.retry import RetryPolicy
+from repro.serve.runtime import RunStamp
 from repro.serve.service import ServiceReport, TenantJob
 
 
@@ -92,7 +93,7 @@ class AutoscaleEvent:
 
 
 @dataclass
-class ControlReport:
+class ControlReport(RunStamp):
     """Everything one control-plane run produced.
 
     ``service`` is the resource view (identical to a plain
@@ -144,6 +145,7 @@ class ControlReport:
     def total_lost_epochs(self) -> int:
         return sum(record.lost_epochs for record in self.records)
 
+    # The run-cost stamp, and so provenance(), is the service report's.
     @property
     def events_processed(self) -> int:
         return self.service.events_processed
@@ -151,10 +153,6 @@ class ControlReport:
     @property
     def wall_seconds(self) -> float:
         return self.service.wall_seconds
-
-    def provenance(self) -> dict:
-        """Uniform run-cost stamp shared by every workload report."""
-        return self.service.provenance()
 
     def record(self, job_id: str) -> JobRecord:
         for candidate in self.records:

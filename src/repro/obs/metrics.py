@@ -1,9 +1,9 @@
 """Sim-clock metrics: counters, gauges, histograms, periodic snapshots.
 
 The registry is *passive*: it never schedules DES events by itself.  A
-workload engine that was handed a registry spawns one sampler process
-(see ``PreprocessingService._metrics_process``) which calls
-:meth:`MetricsRegistry.snapshot` on the simulation clock; with no
+workload engine that was handed a registry runs on a
+:class:`~repro.serve.runtime.ClusterRuntime`, whose one sampler process
+calls :meth:`MetricsRegistry.snapshot` on the simulation clock; with no
 registry attached the engines schedule **zero** extra events, which is
 the invariant the differential tests in ``tests/obs`` pin.
 

@@ -1,0 +1,127 @@
+"""The cluster runtime under the serve, control and stream services.
+
+:class:`ClusterRuntime` owns what those services share: the simulation
+with its machine and storage cluster, the chaos engine (null unless a
+fault plan is passed), the metrics sampler (null unless a registry is
+passed), the host wall-time stamp around ``sim.run()`` and the drain
+check.  The services own their workload processes and reports.
+
+Creation order fixes every kernel sequence number: a service creates
+its workload processes first, then :meth:`ClusterRuntime.run` starts
+the fault windows and then the sampler.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable, Generator, Sequence
+
+from repro.backends.base import Environment
+from repro.backends.simulated import build_cluster
+from repro.errors import SimulationError
+from repro.sim.events import Event, Process
+
+
+class RunStamp:
+    """The uniform run-cost stamp every workload report carries."""
+
+    events_processed: int
+    wall_seconds: float
+
+    def provenance(self) -> dict:
+        """Kernel events and host seconds of the run, as a dict."""
+        return {"events_processed": self.events_processed,
+                "wall_seconds": round(self.wall_seconds, 6)}
+
+
+class ClusterRuntime:
+    """One simulated cluster, the faults injected into it and its sampler.
+
+    ``readers`` sets the link's fair per-stream read share (see
+    :func:`~repro.backends.simulated.build_cluster`); ``tie_break`` is
+    the storage links' order for simultaneous completions.
+    """
+
+    def __init__(self, environment: Environment, readers: int,
+                 tie_break: str = "admission", faults=None,
+                 metrics=None, metrics_interval: float = 60.0,
+                 tracer=None):
+        self.environment = environment
+        self.sim, self.machine, self.cluster = build_cluster(
+            environment, readers, tie_break)
+        self.metrics = metrics
+        self.metrics_interval = metrics_interval
+        self.fault_engine = None
+        if faults:
+            from repro.faults.engine import FaultEngine
+            self.fault_engine = FaultEngine(
+                faults, self.sim, self.machine, self.cluster,
+                metrics=metrics, tracer=tracer)
+        self.wall_seconds = 0.0
+
+    def run(self, processes: Sequence[Process], live: Callable[[], bool],
+            sample: Callable[[object], None]) -> None:
+        """Start the fault windows and the sampler, then drain the kernel.
+
+        ``processes`` are the workload processes, already created; each
+        must have finished when the kernel drains.  The sampler runs
+        while ``live()`` holds and calls ``sample(registry)`` once per
+        tick.  A failing workload process propagates out of here.
+        """
+        sim = self.sim
+        if self.fault_engine is not None:
+            self.fault_engine.start()
+        if self.metrics is not None:
+            sim.process(self._sampler(live, sample), name="metrics-sampler")
+        started = time.perf_counter()
+        sim.run()
+        self.wall_seconds = time.perf_counter() - started
+        stuck = [process.name for process in processes
+                 if not process.triggered]
+        if stuck:
+            raise SimulationError(
+                f"simulation drained with unfinished work: {stuck}")
+
+    def _sampler(self, live: Callable[[], bool],
+                 sample: Callable[[object], None]
+                 ) -> Generator[Event, None, None]:
+        sim = self.sim
+        registry = self.metrics
+        interval = self.metrics_interval
+        while live():
+            yield sim.timeout(interval)
+            sample(registry)
+            registry.snapshot(sim.now)
+
+    def sample_cluster(self, registry) -> None:
+        """Read one sample of the link, cache, metadata, kernel and fault
+        gauges.  Pure reads: never schedules events or mutates state."""
+        link = self.cluster.read_link
+        registry.gauge("link.active_streams").set(link.active_streams)
+        aggregate = self.environment.storage.aggregate_bw
+        registry.gauge("link.utilization").set(
+            link.current_throughput() / aggregate if aggregate else 0.0)
+        cache = self.machine.page_cache
+        registry.gauge("cache.hit_rate").set(cache.hit_rate)
+        registry.gauge("cache.used_bytes").set(cache.used_bytes)
+        registry.gauge("cache.evictions").set(cache.evictions)
+        metadata = self.cluster.metadata
+        registry.gauge("metadata.in_use").set(metadata.in_use)
+        registry.gauge("metadata.queued").set(metadata.queued)
+        registry.gauge("kernel.events_processed").set(
+            self.sim.events_processed)
+        engine = self.fault_engine
+        if engine is not None:
+            registry.gauge("faults.active").set(engine.active_count)
+            # Blackouts make the bound unreachable; clamp for exporters.
+            registry.gauge("faults.capacity_stretch").set(
+                min(engine.capacity_stretch(), 1e6))
+
+    def stamp(self, report) -> None:
+        """Write the run's cost stamp and fault tallies into ``report``."""
+        report.events_processed = self.sim.events_processed
+        report.wall_seconds = self.wall_seconds
+        engine = self.fault_engine
+        if engine is not None:
+            report.fault_events = list(engine.events)
+            report.transfers_aborted = engine.transfers_aborted

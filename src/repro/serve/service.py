@@ -30,18 +30,17 @@ SLO violations) aggregate into a :class:`ServiceReport`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
-from repro import calibration as cal
 from repro.backends.base import Environment, EpochResult, OfflineResult, \
     RunConfig
 from repro.backends.simulated import SimulatedBackend
-from repro.errors import ProfilingError, SimulationError
+from repro.errors import ProfilingError
 from repro.pipelines.base import SplitPlan
 from repro.serve.jobs import JobSpec
 from repro.serve.policies import SchedulerPolicy, get_policy
+from repro.serve.runtime import ClusterRuntime, RunStamp
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation
@@ -167,7 +166,7 @@ class TenantJob:
 
 
 @dataclass
-class ServiceReport:
+class ServiceReport(RunStamp):
     """Everything the service measured about one trace under one policy."""
 
     policy: str
@@ -198,11 +197,6 @@ class ServiceReport:
     #: fault-free run -- the doctor and renderers key off that.
     fault_events: list = field(default_factory=list)
     transfers_aborted: int = 0
-
-    def provenance(self) -> dict:
-        """Uniform run-cost stamp shared by every workload report."""
-        return {"events_processed": self.events_processed,
-                "wall_seconds": round(self.wall_seconds, 6)}
 
     @property
     def aggregate_sps(self) -> float:
@@ -322,6 +316,7 @@ class PreprocessingService:
         #: differential wall (tests/faults/test_faults_differential.py).
         self.fault_plan = faults
         # Per-run state, initialised in run().
+        self._runtime: ClusterRuntime = None  # type: ignore[assignment]
         self._sim: Simulation = None  # type: ignore[assignment]
         self._machine: Machine = None  # type: ignore[assignment]
         self._cluster: StorageCluster = None  # type: ignore[assignment]
@@ -344,53 +339,38 @@ class PreprocessingService:
                       config=spec.run_config())
             for spec in jobs
         ]
-        self._reset()
+        self._reset(tenant_jobs)
         sim = self._sim
-        self._configure_link(tenant_jobs)
         self._set_baselines(tenant_jobs)
         self._live = len(tenant_jobs)
         self._tenants = sorted({job.spec.tenant for job in tenant_jobs})
         processes = [sim.process(self._job_process(job),
                                  name=f"job-{job.spec.tenant}")
                      for job in tenant_jobs]
-        self._start_faults()
-        self._start_sampler()
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        unfinished = [job.spec.tenant for job, process
-                      in zip(tenant_jobs, processes)
-                      if not process.triggered]
-        if unfinished:
-            raise SimulationError(
-                f"service drained with unfinished jobs: {unfinished}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
-        report = self._report(tenant_jobs)
-        report.wall_seconds = wall_seconds
-        return report
+        self._runtime.run(processes, self._telemetry_live,
+                          self._sample_metrics)
+        return self._report(tenant_jobs)
 
     # -- simulation setup ----------------------------------------------------
 
-    def _reset(self) -> None:
-        environment = self.environment
-        sim = Simulation()
-        self._sim = sim
-        self._machine = Machine(
-            sim, cores=environment.cores,
-            ram_bytes=environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * environment.ram_bytes),
-            memory_bw=environment.memory_bw,
-            memory_stream_bw=environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        self._cluster = StorageCluster(
-            sim, environment.storage,
-            memory_link=self._machine.memory_link,
-            tie_break="tag" if self.tie_break == "tenant" else "admission")
+    def _reset(self, jobs: Sequence[TenantJob]) -> None:
+        """Fresh cluster runtime and scheduler state for one run.
+
+        The link's per-stream share uses the widest single job's thread
+        count, so a lone tenant sees exactly the single-job backend's
+        rates; under co-tenancy the max-min allocation divides the
+        aggregate further anyway.
+        """
+        runtime = ClusterRuntime(
+            self.environment,
+            readers=max(job.config.threads for job in jobs),
+            tie_break="tag" if self.tie_break == "tenant" else "admission",
+            faults=self.fault_plan, metrics=self.metrics,
+            metrics_interval=self.metrics_interval, tracer=self.tracer)
+        self._runtime = runtime
+        self._sim = runtime.sim
+        self._machine = runtime.machine
+        self._cluster = runtime.cluster
         self._queue = []
         self._running = []
         self._free_slots = self.slots
@@ -400,22 +380,6 @@ class PreprocessingService:
         self._enqueued = 0
         self._live = 0
         self._tenants: list[str] = []
-        self._fault_engine = None
-
-    # -- chaos engine (null-by-default; see repro.faults) --------------------
-
-    def _start_faults(self) -> None:
-        """Spawn the chaos engine's window processes -- only when a
-        fault plan is attached.  Must run after ``_configure_link`` (the
-        engine snapshots nominal link capacity) and before the kernel
-        starts draining events."""
-        if not self.fault_plan:
-            return
-        from repro.faults.engine import FaultEngine
-        self._fault_engine = FaultEngine(
-            self.fault_plan, self._sim, self._machine, self._cluster,
-            metrics=self.metrics, tracer=self.tracer)
-        self._fault_engine.start()
 
     # -- telemetry (null-by-default; see repro.obs) --------------------------
 
@@ -424,66 +388,19 @@ class PreprocessingService:
         plane overrides this with its own active-job counter."""
         return self._live > 0
 
-    def _start_sampler(self) -> None:
-        """Spawn the periodic metrics sampler -- only when a registry is
-        attached, so telemetry off costs zero extra kernel events."""
-        if self.metrics is not None:
-            self._sim.process(self._metrics_process(),
-                              name="metrics-sampler")
-
-    def _metrics_process(self) -> Generator[Event, None, None]:
-        sim = self._sim
-        registry = self.metrics
-        interval = self.metrics_interval
-        while self._telemetry_live():
-            yield sim.timeout(interval)
-            self._sample_metrics(registry)
-            registry.snapshot(sim.now)
-
     def _sample_metrics(self, registry) -> None:
-        """Read one sample of every cluster-level gauge.  Pure reads of
+        """Read one sample of every service-level gauge.  Pure reads of
         existing state -- never schedules events or mutates the model."""
-        sim = self._sim
         registry.gauge("queue.depth").set(len(self._queue))
         registry.gauge("slots.running").set(len(self._running))
         registry.gauge("slots.free").set(self._free_slots)
-        link = self._cluster.read_link
-        registry.gauge("link.active_streams").set(link.active_streams)
-        aggregate = self.environment.storage.aggregate_bw
-        registry.gauge("link.utilization").set(
-            link.current_throughput() / aggregate if aggregate else 0.0)
-        cache = self._machine.page_cache
-        registry.gauge("cache.hit_rate").set(cache.hit_rate)
-        registry.gauge("cache.used_bytes").set(cache.used_bytes)
-        registry.gauge("cache.evictions").set(cache.evictions)
-        metadata = self._cluster.metadata
-        registry.gauge("metadata.in_use").set(metadata.in_use)
-        registry.gauge("metadata.queued").set(metadata.queued)
-        registry.gauge("kernel.events_processed").set(sim.events_processed)
-        engine = self._fault_engine
-        if engine is not None:
-            registry.gauge("faults.active").set(engine.active_count)
-            # Blackouts make the bound unreachable; clamp for exporters.
-            registry.gauge("faults.capacity_stretch").set(
-                min(engine.capacity_stretch(), 1e6))
+        self._runtime.sample_cluster(registry)
         inflight: dict[str, int] = {}
         for job in self._running:
             inflight[job.spec.tenant] = inflight.get(job.spec.tenant, 0) + 1
         for tenant in self._tenants:
             registry.gauge(f"tenant.{tenant}.inflight").set(
                 inflight.get(tenant, 0))
-
-    def _configure_link(self, jobs: Sequence[TenantJob]) -> None:
-        """Pin the fair per-stream read share, as the backend does.
-
-        Uses the widest single job's thread count so a lone tenant sees
-        exactly the single-job backend's rates; under co-tenancy the
-        max-min allocation divides the aggregate further anyway.
-        """
-        storage = self.environment.storage
-        widest = max(job.config.threads for job in jobs)
-        self._cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / widest)
 
     def _set_baselines(self, jobs: Sequence[TenantJob]) -> None:
         """Uncontended analytic epoch time per job (the SLO anchor)."""
@@ -654,11 +571,16 @@ class PreprocessingService:
 
     # -- reporting -----------------------------------------------------------
 
-    def _report(self, jobs: list[TenantJob]) -> ServiceReport:
+    def _report(self, jobs: list[TenantJob],
+                makespan: Optional[float] = None) -> ServiceReport:
+        """The service report over ``jobs``; ``makespan`` defaults to the
+        last job's finish (the control plane's autoscaler passes the
+        current instant to diagnose a run in flight)."""
+        if makespan is None:
+            makespan = max(job.finished for job in jobs)
         report = ServiceReport(
             policy=self.policy.name, slots=self.slots,
-            environment=self.environment, tenants=jobs,
-            makespan=max(job.finished for job in jobs),
+            environment=self.environment, tenants=jobs, makespan=makespan,
             offline_runs=sum(1 for job in jobs
                              if job.offline is not None),
             offline_deduped=sum(1 for job in jobs if job.offline_shared),
@@ -672,9 +594,6 @@ class PreprocessingService:
             files_opened=self._cluster.files_opened,
             metadata_peak_in_use=self._cluster.metadata.peak_in_use,
             page_cache_evictions=self._machine.page_cache.evictions,
-            events_processed=self._sim.events_processed,
         )
-        if self._fault_engine is not None:
-            report.fault_events = list(self._fault_engine.events)
-            report.transfers_aborted = self._fault_engine.transfers_aborted
+        self._runtime.stamp(report)
         return report

@@ -44,6 +44,11 @@ class DeviceProfile:
     #: Reported block-level submission latency (Table 3 "Latency" column).
     block_latency: float = 7 * US
 
+    def stream_share(self, readers: int) -> float:
+        """Per-stream read rate with ``readers`` concurrent readers: the
+        fair share of the aggregate, capped at one stream's rate."""
+        return min(self.stream_bw, self.aggregate_bw / readers)
+
     def with_overrides(self, **kwargs) -> "DeviceProfile":
         """Return a copy with selected fields replaced (what-if studies)."""
         return replace(self, **kwargs)

@@ -1,7 +1,7 @@
 """The streaming inference service simulator.
 
 :class:`StreamingService` co-simulates per-tenant request/response
-streams on the same DES substrate the serve layer uses: one shared
+streams on a :class:`~repro.serve.runtime.ClusterRuntime`: one shared
 :class:`~repro.sim.cluster.StorageCluster` and one
 :class:`~repro.sim.cpu.Machine` (CPU pool, GIL, dispatch lock, page
 cache).  Each tenant runs an *arrival process* (replaying its seeded
@@ -20,7 +20,6 @@ through this engine and requires the epoch timings back to ~1e-12.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
@@ -28,9 +27,10 @@ from typing import Generator, Optional, Sequence
 from repro import calibration as cal
 from repro.backends.base import CACHE_SYSTEM, Environment, RunConfig
 from repro.backends.simulated import SimulatedBackend
-from repro.errors import ProfilingError, SimulationError
+from repro.errors import ProfilingError
 from repro.faults.gate import slo_shed_decision
 from repro.pipelines.base import SplitPlan
+from repro.serve.runtime import ClusterRuntime
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation, Timeout
@@ -106,13 +106,14 @@ class StreamingService:
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``; with no plan the run schedules zero extra events.
         self.fault_plan = faults
-        # Per-run state, initialised in run().
+        # Per-run state, initialised in run().  The request body reads
+        # the simulation, machine and cluster as plain attributes.
+        self._runtime: ClusterRuntime = None  # type: ignore[assignment]
         self._sim: Simulation = None  # type: ignore[assignment]
         self._machine: Machine = None  # type: ignore[assignment]
         self._cluster: StorageCluster = None  # type: ignore[assignment]
         self._contexts: list = []
         self._live_workers = 0
-        self._fault_engine = None
 
     # -- public entry point --------------------------------------------------
 
@@ -133,9 +134,17 @@ class StreamingService:
         if len(set(names)) != len(names):
             raise ProfilingError(f"duplicate tenant streams in {names}")
         contexts = [self._context(spec, seed, plans) for spec in streams]
-        self._reset()
-        sim = self._sim
-        self._configure_link(streams)
+        # The widest tenant's worker count sets the link's per-stream
+        # share (the reader analogue of the widest job's thread count).
+        runtime = ClusterRuntime(
+            self.environment,
+            readers=max(spec.workers for spec in streams),
+            faults=self.fault_plan, metrics=self.metrics,
+            metrics_interval=self.metrics_interval, tracer=self.tracer)
+        self._runtime = runtime
+        sim = self._sim = runtime.sim
+        self._machine = runtime.machine
+        self._cluster = runtime.cluster
         self._set_baselines(contexts)
         self._contexts = contexts
         self._live_workers = sum(spec.workers for spec in streams)
@@ -152,70 +161,15 @@ class StreamingService:
                 processes.append(sim.process(
                     self._worker_process(ctx, wid),
                     name=f"stream-{ctx.spec.tenant}-{wid}"))
-        self._start_faults()
-        if self.metrics is not None:
-            sim.process(self._metrics_process(), name="metrics-sampler")
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        stuck = [process.name for process in processes
-                 if not process.triggered]
-        if stuck:
-            raise SimulationError(
-                f"stream drained with live processes: {stuck}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
-        report = self._report(contexts)
-        report.wall_seconds = wall_seconds
-        return report
-
-    # -- chaos engine (null-by-default; see repro.faults) --------------------
-
-    def _start_faults(self) -> None:
-        """Spawn the chaos engine's window processes -- only when a
-        fault plan is attached (mirrors the serve layer)."""
-        self._fault_engine = None
-        if not self.fault_plan:
-            return
-        from repro.faults.engine import FaultEngine
-        self._fault_engine = FaultEngine(
-            self.fault_plan, self._sim, self._machine, self._cluster,
-            metrics=self.metrics, tracer=self.tracer)
-        self._fault_engine.start()
+        runtime.run(processes, lambda: self._live_workers > 0,
+                    self._sample_metrics)
+        return self._report(contexts)
 
     # -- telemetry (null-by-default; see repro.obs) --------------------------
 
-    def _metrics_process(self) -> Generator[Event, None, None]:
-        sim = self._sim
-        registry = self.metrics
-        interval = self.metrics_interval
-        while self._live_workers > 0:
-            yield sim.timeout(interval)
-            self._sample_metrics(registry)
-            registry.snapshot(sim.now)
-
     def _sample_metrics(self, registry) -> None:
         """One sample of the stream-level gauges; pure reads only."""
-        sim = self._sim
-        link = self._cluster.read_link
-        registry.gauge("link.active_streams").set(link.active_streams)
-        aggregate = self.environment.storage.aggregate_bw
-        registry.gauge("link.utilization").set(
-            link.current_throughput() / aggregate if aggregate else 0.0)
-        cache = self._machine.page_cache
-        registry.gauge("cache.hit_rate").set(cache.hit_rate)
-        registry.gauge("cache.used_bytes").set(cache.used_bytes)
-        registry.gauge("cache.evictions").set(cache.evictions)
-        metadata = self._cluster.metadata
-        registry.gauge("metadata.in_use").set(metadata.in_use)
-        registry.gauge("metadata.queued").set(metadata.queued)
-        registry.gauge("kernel.events_processed").set(sim.events_processed)
-        engine = self._fault_engine
-        if engine is not None:
-            registry.gauge("faults.active").set(engine.active_count)
-            registry.gauge("faults.capacity_stretch").set(
-                min(engine.capacity_stretch(), 1e6))
+        self._runtime.sample_cluster(registry)
         for ctx in self._contexts:
             tenant = ctx.spec.tenant
             registry.gauge(f"tenant.{tenant}.queue_depth").set(ctx.depth)
@@ -301,34 +255,6 @@ class StreamingService:
             (step.holds_gil, step.cpu_seconds)
             for step in plan.online_steps if step.cpu_seconds > 0)
 
-    def _reset(self) -> None:
-        environment = self.environment
-        sim = Simulation()
-        self._sim = sim
-        self._machine = Machine(
-            sim, cores=environment.cores,
-            ram_bytes=environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * environment.ram_bytes),
-            memory_bw=environment.memory_bw,
-            memory_stream_bw=environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        self._cluster = StorageCluster(
-            sim, environment.storage,
-            memory_link=self._machine.memory_link,
-            tie_break="admission")
-
-    def _configure_link(self, streams: Sequence[StreamTenantSpec]) -> None:
-        """Pin the fair per-stream read share, as the serve layer does,
-        using the widest tenant's worker count (the reader analogue of
-        the widest job's thread count)."""
-        storage = self.environment.storage
-        widest = max(spec.workers for spec in streams)
-        self._cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / widest)
-
     def _set_baselines(self, contexts: Sequence[_TenantStream]) -> None:
         """Uncontended analytic service time per batch (the SLO anchor),
         and from it every request's latency deadline."""
@@ -356,7 +282,7 @@ class StreamingService:
         """Replay the arrival schedule: admit, hand off, block or shed."""
         sim = self._sim
         bound = ctx.spec.queue_bound
-        engine = self._fault_engine
+        engine = self._runtime.fault_engine
         for record in ctx.records:
             delay = record.arrival - sim.now
             if delay > 0:
@@ -507,7 +433,6 @@ class StreamingService:
             environment=self.environment,
             tenants=tenants,
             makespan=max(completions) if completions else 0.0,
-            events_processed=self._sim.events_processed,
             bytes_from_storage=sum(tenant.bytes_from_storage
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache
@@ -515,7 +440,5 @@ class StreamingService:
             metadata_peak_in_use=self._cluster.metadata.peak_in_use,
             page_cache_evictions=self._machine.page_cache.evictions,
         )
-        if self._fault_engine is not None:
-            report.fault_events = list(self._fault_engine.events)
-            report.transfers_aborted = self._fault_engine.transfers_aborted
+        self._runtime.stamp(report)
         return report

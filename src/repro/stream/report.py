@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 
 from repro.backends.base import Environment
 from repro.errors import ProfilingError
+from repro.serve.runtime import RunStamp
 from repro.serve.service import percentile
 from repro.stream.requests import StreamTenantSpec
 
@@ -212,7 +213,7 @@ class TenantStreamResult:
 
 
 @dataclass
-class StreamReport:
+class StreamReport(RunStamp):
     """Everything the streaming service measured about one run."""
 
     environment: Environment
@@ -234,11 +235,6 @@ class StreamReport:
     #: empty/zero on every fault-free run.
     fault_events: list = field(default_factory=list)
     transfers_aborted: int = 0
-
-    def provenance(self) -> dict:
-        """Uniform run-cost stamp shared by every workload report."""
-        return {"events_processed": self.events_processed,
-                "wall_seconds": round(self.wall_seconds, 6)}
 
     @property
     def total_requests(self) -> int:

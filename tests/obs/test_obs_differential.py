@@ -16,11 +16,16 @@ the goldens and ``make bench-check`` event counts, which predate this
 subsystem and must never drift.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.core.report import (service_summary, stream_table,
-                               tenant_table)
-from repro.ctl.dispatcher import Dispatcher
+from repro.core.report import (service_summary, stream_summary,
+                               stream_table, tenant_table)
+from repro.ctl.dispatcher import AutoscaleConfig, Dispatcher
+from repro.ctl.report import control_summary, control_table
+from repro.faults.plan import Brownout, FaultPlan, generate_fault_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.serve.jobs import generate_trace
@@ -116,3 +121,92 @@ class TestProvenanceStamp:
         assert stamp["events_processed"] == report.events_processed > 0
         assert stamp["wall_seconds"] == round(report.wall_seconds, 6)
         assert report.wall_seconds > 0
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _metrics_serve():
+    registry = MetricsRegistry()
+    report = PreprocessingService(
+        policy="cache-aware", metrics=registry,
+        metrics_interval=120.0).run(serve_jobs())
+    return registry, report, render_serve(report)
+
+
+def _metrics_ctl():
+    """Autoscaler, a pre-run cancel and all five fault shapes: every
+    process kind the control plane spawns, in one metrics-on run."""
+    jobs = generate_trace("bursty", tenants=6, seed=5, fault_rate=0.5)
+    plan = generate_fault_plan(3, 3708.0, stragglers=1, slowdowns=1,
+                               brownouts=1, blackouts=1, crash_windows=1)
+    registry = MetricsRegistry()
+    dispatcher = Dispatcher(
+        slots=1, metrics=registry, metrics_interval=120.0,
+        autoscale=AutoscaleConfig(min_slots=1, max_slots=4,
+                                  interval=300.0),
+        faults=plan, shed_slo=True)
+    dispatcher.cancel("job-002", at=50.0)
+    report = dispatcher.run(jobs)
+    rendered = (control_table(report).to_markdown() + "\n"
+                + control_summary(report))
+    return registry, report, rendered
+
+
+def _render_stream(report) -> str:
+    return stream_table(report).to_markdown() + "\n" + stream_summary(report)
+
+
+def _metrics_stream():
+    registry = MetricsRegistry()
+    report = StreamingService(metrics=registry,
+                              metrics_interval=60.0).run(streams(), seed=0)
+    return registry, report, _render_stream(report)
+
+
+def _metrics_stream_brownout_shed():
+    plan = FaultPlan(brownouts=(Brownout(start=5.0, duration=15.0,
+                                         factor=4.0),))
+    registry = MetricsRegistry()
+    report = StreamingService(metrics=registry, metrics_interval=5.0,
+                              faults=plan).run(
+        generate_stream(tenants=2, seed=0, arrival="burst", requests=8,
+                        shed=True), seed=0)
+    assert report.total_slo_shed > 0 and report.fault_events
+    return registry, report, _render_stream(report)
+
+
+class TestTelemetryOnOutputsArePinned:
+    """Metrics-on runs, pinned exactly: the exported registry (gauge
+    insertion order included), the kernel event count (sampler and
+    fault-window events included) and the rendered report.  The
+    telemetry-off side is pinned by the goldens; this pins the side
+    where the sampler, the fault engine and the workload processes all
+    share one simulation, so their creation order shows."""
+
+    @pytest.mark.parametrize("scenario,metrics_sha,events,report_sha", [
+        (_metrics_serve,
+         "972f8b205a7de57b85075d02285253237a103a8e034384e7c7b65819d5bb221c",
+         198256,
+         "83fd47a4dae4138070cbb7b5b4baf82f5ca38cdf0674894fbed8ef8f7259a2b0"),
+        (_metrics_ctl,
+         "dafc1585b6f537111571c53c01a408ebc45340debf996af0ab5ffdd7440676b3",
+         372479,
+         "4d0141cf14c82157a76116a0b3d625d56e92a9204095b738076d9c44c4b4d24e"),
+        (_metrics_stream,
+         "7d56a22d345abd3b00bdd0a87374dd0bb3f9cf9abeef00da262b59cbbc80f1db",
+         170,
+         "0baf179f3c53908cb12e3b0274df84c884bfa21d3eb85e69457e336983a926bd"),
+        (_metrics_stream_brownout_shed,
+         "fdecca733884b8478620c52f0e138e071f7e811d2b4cf7b76e6901b38cba564e",
+         114,
+         "9002261ad01212a17968f0a30f6ab5dadf8d1b6ca4fd9bf7fd1c6d0afc2c011b"),
+    ], ids=["serve", "ctl", "stream", "stream-brownout-shed"])
+    def test_outputs_match_pins(self, scenario, metrics_sha, events,
+                                report_sha):
+        registry, report, rendered = scenario()
+        assert _sha256(json.dumps(registry.to_dict(),
+                                  sort_keys=False)) == metrics_sha
+        assert report.events_processed == events
+        assert _sha256(rendered) == report_sha
