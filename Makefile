@@ -17,6 +17,9 @@
 #                      deterministic event count (never wall time)
 #   make plan-examples validate every shipped experiment spec with
 #                      `presto plan` (CI keeps examples/experiments/ green)
+#   make simbench-check one simbench run per workload; fails unless each
+#                      matches simbench/reference.json (outputs and
+#                      report SHA-256) and the baseline pins
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -27,7 +30,7 @@ COVERAGE_FLOOR ?= 80
 .PHONY: test smoke sweep golden coverage coverage-diagnosis coverage-serve \
 	coverage-api coverage-ctl coverage-stream coverage-obs \
 	coverage-faults coverage-lint lint typecheck trace-smoke bench \
-	bench-check plan-examples
+	bench-check plan-examples simbench-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -88,3 +91,6 @@ plan-examples:
 		echo "== presto plan $$spec"; \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli plan $$spec || exit 1; \
 	done
+
+simbench-check:
+	$(PYTHON) tools/simbench_check.py

@@ -20,7 +20,7 @@ CLI surface: ``presto stream --tenants 4 --arrival burst --seed 0``.
 from repro.stream.doctor import (StreamDiagnosis, StreamFinding,
                                  diagnose_stream)
 from repro.stream.engine import StreamingService
-from repro.stream.report import (RequestRecord, StreamReport,
+from repro.stream.report import (RequestLog, RequestRecord, StreamReport,
                                  TenantStreamResult)
 from repro.stream.requests import (ARRIVAL_KINDS, RequestPlan,
                                    StreamTenantSpec, arrival_schedule,
@@ -29,6 +29,7 @@ from repro.stream.requests import (ARRIVAL_KINDS, RequestPlan,
 
 __all__ = [
     "ARRIVAL_KINDS",
+    "RequestLog",
     "RequestPlan",
     "RequestRecord",
     "StreamDiagnosis",

@@ -92,8 +92,10 @@ class StreamDiagnosis:
 
 def _wait_service_p99(tenant: TenantStreamResult) -> tuple:
     """The tenant's (queue-wait p99, service-time p99) split."""
-    waits = [record.queue_wait for record in tenant.completed]
-    services = [record.service_seconds for record in tenant.completed]
+    log = tenant.log
+    done = tenant.tally.completed
+    waits = [log.started[row] - log.arrival[row] for row in done]
+    services = [log.completed[row] - log.started[row] for row in done]
     return (percentile(waits, 99) if waits else 0.0,
             percentile(services, 99) if services else 0.0)
 
@@ -106,7 +108,7 @@ def diagnose_stream(report: StreamReport) -> StreamDiagnosis:
     findings: list[StreamFinding] = []
 
     for tenant in report.tenants:
-        if not tenant.completed:
+        if not tenant.tally.completed:
             continue
         if tenant.miss_fraction <= MISS_THRESHOLD:
             continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import isnan
 from typing import Generator, Optional, Sequence
 
 from repro import calibration as cal
@@ -34,14 +35,16 @@ from repro.serve.runtime import ClusterRuntime
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation, Timeout
-from repro.stream.report import (RequestRecord, StreamReport,
+from repro.stream.report import (RequestLog, StreamReport,
                                  TenantStreamResult)
-from repro.stream.requests import StreamTenantSpec, request_plans
+from repro.stream.requests import (StreamTenantSpec, arrival_schedule,
+                                   request_chunks)
 
 
 class _Shard:
-    """One dispatch queue: shared by all of a tenant's workers, or (for
-    pinned differential streams) private to a single worker."""
+    """One dispatch queue of request-log positions: shared by all of a
+    tenant's workers, or (for pinned differential streams) private to a
+    single worker."""
 
     __slots__ = ("queue", "idle", "space")
 
@@ -65,7 +68,7 @@ class _TenantStream:
     spec: StreamTenantSpec
     plan: SplitPlan
     result: TenantStreamResult
-    records: list = field(default_factory=list)
+    log: RequestLog
     shards: list = field(default_factory=list)
     pinned: bool = False
     closed: bool = False
@@ -82,8 +85,8 @@ class _TenantStream:
     deser_ps: Optional[float] = None
     online_charges: tuple = ()
 
-    def shard_for(self, record: RequestRecord) -> _Shard:
-        return self.shards[record.pinned] if self.pinned else self.shards[0]
+    def shard_for(self, row: int) -> _Shard:
+        return self.shards[self.log.pinned[row] if self.pinned else 0]
 
 
 class StreamingService:
@@ -174,22 +177,37 @@ class StreamingService:
             tenant = ctx.spec.tenant
             registry.gauge(f"tenant.{tenant}.queue_depth").set(ctx.depth)
             registry.gauge(f"tenant.{tenant}.completed").set(
-                len(ctx.result.completions))
+                len(ctx.log.order))
 
     # -- simulation setup ----------------------------------------------------
 
     def _context(self, spec: StreamTenantSpec, seed: int,
                  plans: Optional[dict]) -> _TenantStream:
         plan = spec.resolve_plan()
+        pinned = False
         if plans is not None and spec.tenant in plans:
-            planned = tuple(plans[spec.tenant])
+            log = self._planned_log(spec, plans[spec.tenant])
+            pinned = log.pinned[0] >= 0
         else:
             # Stride over the artifact in batch-sized chunks: a request
             # re-reading a chunk within cache lifetime hits the shared
             # page cache, like epoch >= 1 of a training run.
             chunk_count = max(1, plan.pipeline.sample_count // spec.batch)
-            planned = request_plans(spec, seed=seed,
-                                    chunk_count=chunk_count)
+            arrivals = arrival_schedule(spec, seed)
+            log = RequestLog.from_schedule(
+                arrivals, spec.batch,
+                request_chunks(len(arrivals), chunk_count))
+        ctx = _TenantStream(
+            spec=spec, plan=plan,
+            result=TenantStreamResult(spec=spec, log=log), log=log,
+            shards=[_Shard() for _ in range(spec.workers if pinned else 1)],
+            pinned=pinned)
+        self._bind(ctx)
+        return ctx
+
+    @staticmethod
+    def _planned_log(spec: StreamTenantSpec, planned) -> RequestLog:
+        """Check an explicit plan override and load it into a log."""
         if not planned:
             raise ProfilingError(
                 f"stream {spec.tenant!r}: empty request plan")
@@ -198,8 +216,7 @@ class StreamingService:
             raise ProfilingError(
                 f"stream {spec.tenant!r}: cannot mix pinned and "
                 f"unpinned requests")
-        pinned = pinned_flags.pop()
-        if pinned:
+        if pinned_flags.pop():
             if spec.queue_bound or spec.shed:
                 raise ProfilingError(
                     f"stream {spec.tenant!r}: pinned (sharded) requests "
@@ -211,21 +228,7 @@ class StreamingService:
                 raise ProfilingError(
                     f"stream {spec.tenant!r}: pinned worker ids {bad} "
                     f"outside 0..{spec.workers - 1}")
-        records = [RequestRecord(index=request.index,
-                                 arrival=request.arrival,
-                                 batch=request.batch,
-                                 chunk=request.chunk,
-                                 pinned=request.worker)
-                   for request in sorted(planned,
-                                         key=lambda r: (r.arrival, r.index))]
-        ctx = _TenantStream(
-            spec=spec, plan=plan,
-            result=TenantStreamResult(spec=spec, records=records),
-            records=records,
-            shards=[_Shard() for _ in range(spec.workers if pinned else 1)],
-            pinned=pinned)
-        self._bind(ctx)
-        return ctx
+        return RequestLog.from_plans(planned)
 
     def _bind(self, ctx: _TenantStream) -> None:
         """Freeze the request-body constants (epoch hot-loop bindings).
@@ -271,9 +274,10 @@ class StreamingService:
                 ctx.spec.batch * seconds_per_sample)
             if ctx.spec.slo_stretch is None:
                 continue
-            for record in ctx.records:
-                record.deadline = (ctx.spec.slo_stretch
-                                   * record.batch * seconds_per_sample)
+            deadlines = ctx.log.deadline
+            for row, batch in enumerate(ctx.log.batch):
+                deadlines[row] = (ctx.spec.slo_stretch
+                                  * batch * seconds_per_sample)
 
     # -- the per-tenant processes --------------------------------------------
 
@@ -283,33 +287,39 @@ class StreamingService:
         sim = self._sim
         bound = ctx.spec.queue_bound
         engine = self._runtime.fault_engine
-        for record in ctx.records:
-            delay = record.arrival - sim.now
+        log = ctx.log
+        arrivals = log.arrival
+        deadlines = log.deadline
+        enqueued = log.enqueued
+        shed = log.shed
+        for row in range(len(log)):
+            delay = arrivals[row] - sim.now
             if delay > 0:
                 yield sim.timeout(delay)
+            deadline = deadlines[row]
             if (engine is not None and ctx.spec.shed
-                    and record.deadline is not None):
+                    and not isnan(deadline)):
                 # The SLO-aware gate shared with control-plane admission
                 # (repro.faults.gate): under degraded capacity a request
                 # whose service-time bound already breaks its deadline
                 # is shed at arrival, not after burning a worker.
                 reason = slo_shed_decision(
-                    record.deadline / ctx.spec.slo_stretch,
-                    record.deadline, engine.capacity_stretch())
+                    deadline / ctx.spec.slo_stretch,
+                    deadline, engine.capacity_stretch())
                 if reason is not None:
-                    record.shed = True
+                    shed[row] = 1
                     ctx.result.slo_shed += 1
                     continue
-            shard = ctx.shard_for(record)
+            shard = ctx.shard_for(row)
             if shard.idle:
                 # An idle worker: hand the request over directly, never
                 # touching queue depth.
-                record.enqueued = sim.now
-                shard.idle.pop(0).succeed(record)
+                enqueued[row] = sim.now
+                shard.idle.pop(0).succeed(row)
                 continue
             if bound and ctx.depth >= bound:
                 if ctx.spec.shed:
-                    record.shed = True
+                    shed[row] = 1
                     continue
                 # Backpressure: block the arrival source until a worker
                 # frees a queue slot.
@@ -318,11 +328,11 @@ class StreamingService:
                     shard.space.append(space)
                     yield space
                 if shard.idle:
-                    record.enqueued = sim.now
-                    shard.idle.pop(0).succeed(record)
+                    enqueued[row] = sim.now
+                    shard.idle.pop(0).succeed(row)
                     continue
-            record.enqueued = sim.now
-            shard.queue.append(record)
+            enqueued[row] = sim.now
+            shard.queue.append(row)
             ctx.depth += 1
             if ctx.depth > ctx.result.max_queue_depth:
                 ctx.result.max_queue_depth = ctx.depth
@@ -339,9 +349,14 @@ class StreamingService:
         tracer = self.tracer
         lane = f"{ctx.spec.tenant}/w{wid}"
         shard = ctx.shards[wid] if ctx.pinned else ctx.shards[0]
+        log = ctx.log
+        workers = log.worker
+        started = log.started
+        completed = log.completed
+        order = log.order
         while True:
             if shard.queue:
-                record = shard.queue.popleft()
+                row = shard.queue.popleft()
                 ctx.depth -= 1
                 if shard.space:
                     shard.space.pop(0).succeed()
@@ -350,29 +365,31 @@ class StreamingService:
             else:
                 idle = sim.event()
                 shard.idle.append(idle)
-                record = yield idle
-                if record is None:
+                row = yield idle
+                if row is None:
                     break
-            record.worker = wid
-            record.started = sim.now
+            workers[row] = wid
+            started[row] = sim.now
             # The span brackets _request_body without touching it: the
             # body's expression shapes are pinned by the 1e-12
             # differential wall and the tracer only reads the clock.
             span = None
             if tracer is not None:
                 span = tracer.start(
-                    f"request {record.index}", "request", lane, sim.now,
-                    args={"batch": record.batch, "chunk": record.chunk})
-            yield from self._request_body(ctx, record)
-            record.completed = sim.now
+                    f"request {log.index[row]}", "request", lane, sim.now,
+                    args={"batch": log.batch[row],
+                          "chunk": log.chunk[row]})
+            yield from self._request_body(ctx, row)
+            completed[row] = sim.now
             if span is not None:
                 tracer.finish(span, sim.now)
-            ctx.result.completions.append(record)
+            order.append(row)
         self._live_workers -= 1
 
-    def _request_body(self, ctx: _TenantStream, record: RequestRecord
+    def _request_body(self, ctx: _TenantStream, row: int
                       ) -> Generator[object, None, None]:
-        """Serve one request batch through the shared resource model.
+        """Serve the request batch at log position ``row`` through the
+        shared resource model.
 
         Expression-for-expression the per-job body of
         ``SimulatedBackend.epoch_process`` (page-cache lookup, metadata
@@ -393,9 +410,9 @@ class StreamingService:
         dispatch = machine.dispatch
         gil = machine.gil
 
-        k = record.batch
+        k = ctx.log.batch[row]
         opens = ctx.opens_per_sample * k
-        chunk_key = (ctx.namespace, ctx.stored_name, None, record.chunk)
+        chunk_key = (ctx.namespace, ctx.stored_name, None, ctx.log.chunk[row])
         disk_bytes = k * ctx.stored_bytes_ps
         if page_cache.lookup(chunk_key):
             result.cache_hits += 1
@@ -427,12 +444,12 @@ class StreamingService:
 
     def _report(self, contexts: list) -> StreamReport:
         tenants = [ctx.result for ctx in contexts]
-        completions = [record.completed for tenant in tenants
-                       for record in tenant.completed]
+        makespans = [tenant.makespan for tenant in tenants
+                     if tenant.tally.completed]
         report = StreamReport(
             environment=self.environment,
             tenants=tenants,
-            makespan=max(completions) if completions else 0.0,
+            makespan=max(makespans) if makespans else 0.0,
             bytes_from_storage=sum(tenant.bytes_from_storage
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache

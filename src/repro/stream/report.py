@@ -11,9 +11,11 @@ a blocked client is a slow client.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from math import isnan, nan
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.backends.base import Environment
 from repro.errors import ProfilingError
@@ -22,14 +24,15 @@ from repro.serve.service import percentile
 from repro.stream.requests import StreamTenantSpec
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """Lifecycle of one request through the stream simulation.
 
-    ``arrival`` is the scheduled (intended) arrival; ``enqueued`` is
-    when the request was actually admitted (later under backpressure);
-    ``started``/``completed`` bracket service.  Exactly one of
-    ``completed``/``shed`` is set for every request after a run.
+    A read-only view of one row of a :class:`RequestLog`, built on
+    demand.  ``arrival`` is the scheduled (intended) arrival;
+    ``enqueued`` is when the request was actually admitted (later under
+    backpressure); ``started``/``completed`` bracket service.  Exactly
+    one of ``completed``/``shed`` is set for every request after a run.
     """
 
     index: int
@@ -77,14 +80,122 @@ class RequestRecord:
         return self.latency > self.deadline
 
 
-class StreamTally(NamedTuple):
-    """What one pass over a tenant's finished records derives."""
+def _seconds(values: Iterable[Optional[float]]) -> array:
+    """A float column with NaN standing for "not set"."""
+    return array("d", (nan if value is None else value
+                       for value in values))
 
-    #: Completed records, in submission order.
-    completed: list
+
+def _or_none(value: float) -> Optional[float]:
+    return None if isnan(value) else value
+
+
+class RequestLog:
+    """One tenant's requests as typed columns, one row per request.
+
+    Rows are positions in admission order: the arrival process walks
+    them in order, and queues, hand-offs and the request body pass the
+    int position around.  Timestamps are ``array('d')`` columns holding
+    NaN until set (each double is stored exactly, so every timestamp
+    expression reads back the value it wrote); ``pinned``/``worker`` are
+    -1 when unset and ``shed`` is a ``bytearray`` of 0/1 flags.
+    ``order`` lists the positions in completion order.
+    """
+
+    __slots__ = ("index", "arrival", "batch", "chunk", "pinned",
+                 "deadline", "worker", "enqueued", "started",
+                 "completed", "shed", "order")
+
+    def __init__(self, index: array, arrival: array, batch: array,
+                 chunk: array, pinned: Optional[array] = None):
+        rows = len(arrival)
+        unset = array("d", [nan]) * rows
+        self.index = index
+        self.arrival = arrival
+        self.batch = batch
+        self.chunk = chunk
+        self.pinned = (array("q", [-1]) * rows if pinned is None
+                       else pinned)
+        self.deadline = array("d", unset)
+        self.worker = array("q", [-1]) * rows
+        self.enqueued = array("d", unset)
+        self.started = array("d", unset)
+        self.completed = array("d", unset)
+        self.shed = bytearray(rows)
+        self.order = array("q")
+
+    @classmethod
+    def from_schedule(cls, arrivals: Sequence[float], batch: int,
+                      chunks: Iterable[int]) -> "RequestLog":
+        """A seeded stream: request ``i`` arrives at ``arrivals[i]``
+        (sorted) and reads ``batch`` samples of its chunk."""
+        rows = len(arrivals)
+        return cls(array("q", range(rows)), array("d", arrivals),
+                   array("q", [batch]) * rows, array("q", chunks))
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence, pinned: Iterable[Optional[int]]
+                   ) -> "RequestLog":
+        """A log of ``rows`` (plans or records) in the order given."""
+        return cls(array("q", (row.index for row in rows)),
+                   array("d", (row.arrival for row in rows)),
+                   array("q", (row.batch for row in rows)),
+                   array("q", (row.chunk for row in rows)),
+                   array("q", (-1 if worker is None else worker
+                               for worker in pinned)))
+
+    @classmethod
+    def from_plans(cls, plans: Iterable) -> "RequestLog":
+        """Explicit :class:`~repro.stream.requests.RequestPlan` tuples,
+        in (arrival, index) order; ``worker`` becomes ``pinned``."""
+        ordered = sorted(plans, key=lambda plan: (plan.arrival, plan.index))
+        return cls._from_rows(ordered, (plan.worker for plan in ordered))
+
+    @classmethod
+    def from_records(cls, records: Sequence[RequestRecord],
+                     completions: Iterable[RequestRecord] = ()
+                     ) -> "RequestLog":
+        """A log holding ``records`` row for row; ``completions`` lists
+        the completed ones in completion order (matched by index)."""
+        log = cls._from_rows(records,
+                             (record.pinned for record in records))
+        log.deadline = _seconds(record.deadline for record in records)
+        log.worker = array("q", (record.worker for record in records))
+        log.enqueued = _seconds(record.enqueued for record in records)
+        log.started = _seconds(record.started for record in records)
+        log.completed = _seconds(record.completed for record in records)
+        log.shed = bytearray(record.shed for record in records)
+        position = {record.index: row for row, record in enumerate(records)}
+        log.order = array("q", (position[record.index]
+                                for record in completions))
+        return log
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def record(self, row: int) -> RequestRecord:
+        """A read-only view of the request at ``row``."""
+        pinned = self.pinned[row]
+        return RequestRecord(
+            index=self.index[row], arrival=self.arrival[row],
+            batch=self.batch[row], chunk=self.chunk[row],
+            pinned=None if pinned < 0 else pinned,
+            worker=self.worker[row],
+            enqueued=_or_none(self.enqueued[row]),
+            started=_or_none(self.started[row]),
+            completed=_or_none(self.completed[row]),
+            shed=bool(self.shed[row]),
+            deadline=_or_none(self.deadline[row]))
+
+
+class StreamTally(NamedTuple):
+    """What one pass over a tenant's finished requests derives."""
+
+    #: Log positions of the completed requests, in submission order.
+    completed: array
     #: Their latencies, in the same order.
-    latencies: list
-    #: Records that missed their deadline (shed ones included).
+    latencies: array
+    #: Requests that missed their deadline (shed ones included).
     missed: int
 
 
@@ -93,9 +204,7 @@ class TenantStreamResult:
     """Everything measured about one tenant's request stream."""
 
     spec: StreamTenantSpec
-    records: list = field(default_factory=list)
-    #: Records in completion order (the out-of-order evidence).
-    completions: list = field(default_factory=list)
+    log: RequestLog
     #: Uncontended analytic seconds to serve one batch; the SLO anchor.
     baseline_batch_seconds: Optional[float] = None
     max_queue_depth: int = 0
@@ -106,6 +215,18 @@ class TenantStreamResult:
     #: Requests shed by the SLO-aware gate under degraded capacity
     #: (a subset of ``shed_count``; queue-overflow sheds are the rest).
     slo_shed: int = 0
+
+    @property
+    def records(self) -> list:
+        """Every request as a :class:`RequestRecord` view, in
+        submission order (built on each access)."""
+        return [self.log.record(row) for row in range(len(self.log))]
+
+    @property
+    def completions(self) -> list:
+        """Completed requests as views, in completion order (the
+        out-of-order evidence)."""
+        return [self.log.record(row) for row in self.log.order]
 
     @property
     def deadline_seconds(self) -> Optional[float]:
@@ -120,35 +241,38 @@ class TenantStreamResult:
         """Completions, latencies and deadline misses in one pass.
 
         Derived on first access and kept: read it only once the run is
-        over (the service builds its report then), because later edits
-        to ``records`` do not show in it.  The arithmetic is that of
+        over (the service builds its report then), because the engine
+        writes the log's columns while it runs and later writes do not
+        show in it.  The arithmetic is that of
         :attr:`RequestRecord.latency` and :attr:`RequestRecord.missed`.
         """
-        completed: list = []
-        latencies: list = []
+        log = self.log
+        completed = array("q")
+        latencies = array("d")
         missed = 0
-        for record in self.records:
+        for row, (arrival, done, deadline, shed) in enumerate(zip(
+                log.arrival, log.completed, log.deadline, log.shed)):
             latency = None
-            if record.completed is not None:
-                latency = record.completed - record.arrival
-                completed.append(record)
+            if not isnan(done):
+                latency = done - arrival
+                completed.append(row)
                 latencies.append(latency)
-            if record.shed or (record.deadline is not None
-                               and latency is not None
-                               and latency > record.deadline):
+            if shed or (latency is not None and not isnan(deadline)
+                        and latency > deadline):
                 missed += 1
         return StreamTally(completed, latencies, missed)
 
     @property
     def completed(self) -> list:
-        return self.tally.completed
+        """Completed requests as views, in submission order."""
+        return [self.log.record(row) for row in self.tally.completed]
 
     @property
     def shed_count(self) -> int:
-        return sum(1 for record in self.records if record.shed)
+        return self.log.shed.count(1)
 
     @property
-    def latencies(self) -> list:
+    def latencies(self) -> array:
         return self.tally.latencies
 
     def latency_percentile(self, q: float) -> float:
@@ -159,32 +283,34 @@ class TenantStreamResult:
     def miss_fraction(self) -> float:
         """Fraction of requests that violated their deadline (shed
         requests count: they never met any SLO)."""
-        if not self.records:
+        if not len(self.log):
             return 0.0
-        return self.tally.missed / len(self.records)
+        return self.tally.missed / len(self.log)
 
     @property
     def out_of_order(self) -> int:
         """Completions that overtook an earlier-submitted request."""
+        index = self.log.index
         overtaken = 0
         frontier = -1
-        for record in self.completions:
-            if record.index < frontier:
+        for row in self.log.order:
+            if index[row] < frontier:
                 overtaken += 1
             else:
-                frontier = record.index
+                frontier = index[row]
         return overtaken
 
     @property
     def makespan(self) -> float:
-        done = [record.completed for record in self.completed]
-        return max(done) if done else 0.0
+        completed = self.log.completed
+        done = self.tally.completed
+        return max(completed[row] for row in done) if done else 0.0
 
     @property
     def throughput_rps(self) -> float:
         """Delivered requests/second over the tenant's active window."""
         window = self.makespan - self.spec.start
-        return len(self.completed) / window if window > 0 else 0.0
+        return len(self.tally.completed) / window if window > 0 else 0.0
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -199,7 +325,7 @@ class TenantStreamResult:
             "strategy": self.spec.split,
             "arrival": self.spec.arrival,
             "rate_rps": self.spec.rate,
-            "reqs": len(self.records),
+            "reqs": len(self.log),
             "batch": self.spec.batch,
             "p50_lat_s": self.latency_percentile(50),
             "p99_lat_s": self.latency_percentile(99),
@@ -238,11 +364,11 @@ class StreamReport(RunStamp):
 
     @property
     def total_requests(self) -> int:
-        return sum(len(tenant.records) for tenant in self.tenants)
+        return sum(len(tenant.log) for tenant in self.tenants)
 
     @property
     def total_completed(self) -> int:
-        return sum(len(tenant.completed) for tenant in self.tenants)
+        return sum(len(tenant.tally.completed) for tenant in self.tenants)
 
     @property
     def total_shed(self) -> int:

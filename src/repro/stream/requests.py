@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.backends.base import RunConfig
 from repro.errors import ProfilingError
@@ -182,9 +182,8 @@ def arrival_schedule(spec: StreamTenantSpec, seed: int = 0) -> tuple:
     return _SCHEDULES[spec.arrival](spec, seed)
 
 
-def request_plans(spec: StreamTenantSpec, seed: int = 0,
-                  chunk_count: int = 1) -> tuple:
-    """Expand ``spec`` into its planned requests.
+def request_chunks(requests: int, chunk_count: int) -> Iterator[int]:
+    """The dataset chunk of each of ``requests`` requests, in order.
 
     Requests stride round-robin over ``chunk_count`` dataset chunks,
     so a small working set re-reads warm page-cache chunks while a
@@ -193,10 +192,19 @@ def request_plans(spec: StreamTenantSpec, seed: int = 0,
     """
     if chunk_count < 1:
         raise ProfilingError("chunk_count must be >= 1")
+    return (index % chunk_count for index in range(requests))
+
+
+def request_plans(spec: StreamTenantSpec, seed: int = 0,
+                  chunk_count: int = 1) -> tuple:
+    """Expand ``spec`` into its planned requests (chunks per
+    :func:`request_chunks`)."""
+    arrivals = arrival_schedule(spec, seed)
+    chunks = request_chunks(len(arrivals), chunk_count)
     return tuple(
         RequestPlan(index=index, arrival=arrival, batch=spec.batch,
-                    chunk=index % chunk_count)
-        for index, arrival in enumerate(arrival_schedule(spec, seed)))
+                    chunk=chunk)
+        for index, (arrival, chunk) in enumerate(zip(arrivals, chunks)))
 
 
 def epoch_request_plans(plan: SplitPlan, config: RunConfig) -> tuple:

@@ -7,7 +7,7 @@ from repro.errors import DiagnosisError
 from repro.stream import (StreamTenantSpec, StreamingService,
                           diagnose_stream)
 from repro.stream.doctor import MISS_THRESHOLD
-from repro.stream.report import (RequestRecord, StreamReport,
+from repro.stream.report import (RequestLog, RequestRecord, StreamReport,
                                  TenantStreamResult)
 
 
@@ -27,9 +27,8 @@ def make_tenant(wait: float, service: float, miss: bool = True,
             worker=0, enqueued=arrival, started=arrival + wait,
             completed=arrival + wait + service,
             deadline=0.1 if miss else 1e9))
-    result = TenantStreamResult(spec=spec, records=records,
-                                completions=list(records))
-    return result
+    return TenantStreamResult(
+        spec=spec, log=RequestLog.from_records(records, records))
 
 
 def make_report(*tenants, makespan: float = 100.0,

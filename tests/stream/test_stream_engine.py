@@ -141,9 +141,10 @@ class TestReportAggregates:
         for tenant in report.tenants:
             done = [record for record in tenant.records
                     if record.completed is not None]
-            assert tenant.tally.completed == done
-            assert tenant.tally.latencies == [record.latency
-                                              for record in done]
+            assert [tenant.log.record(row)
+                    for row in tenant.tally.completed] == done
+            assert list(tenant.tally.latencies) == [record.latency
+                                                    for record in done]
             assert tenant.tally.missed == sum(record.missed
                                               for record in tenant.records)
         missed = sum(record.missed for tenant in report.tenants
