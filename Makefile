@@ -48,7 +48,7 @@ coverage: coverage-diagnosis coverage-serve coverage-api coverage-ctl \
 	coverage-stream coverage-obs coverage-faults coverage-lint
 
 lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/simlint.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint
 
 typecheck:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/typecheck.py

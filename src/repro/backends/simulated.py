@@ -117,14 +117,157 @@ def build_cluster(environment: Environment, readers: int,
     return sim, machine, cluster
 
 
+class BatchCounters:
+    """Byte and page-cache tallies :func:`batch_body` adds to (named as
+    on :class:`~repro.stream.report.TenantStreamResult`, which a stream
+    passes instead)."""
+
+    __slots__ = ("cache_hits", "cache_misses", "bytes_from_storage",
+                 "bytes_from_cache")
+
+    def __init__(self):
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.bytes_from_storage = 0.0
+        self.bytes_from_cache = 0.0
+
+
+def batch_body(sim: Simulation, machine: Machine, cluster: StorageCluster,
+               stored: Representation, stored_bytes_ps: float,
+               opens_per_sample: float, open_latency: float,
+               online_steps, counters, trace: Optional[ResourceTrace] = None,
+               decompress_bw: Optional[float] = None, shuffle: bool = False,
+               populate_app_cache: bool = False,
+               app_tensor_bytes_ps: float = 0.0, link_tag: str = "",
+               detail=None):
+    """The per-batch resource sequence, shared by training epochs and
+    stream requests.
+
+    Binds every per-run constant once and returns
+    ``batches(items, lane="")``, a process generator that serves each
+    ``(k, chunk_key, batch_span)`` of ``items`` in turn: ``k`` samples
+    of ``stored`` through page-cache lookup on ``chunk_key``, metadata
+    opens and storage-link read on a miss, runtime overhead,
+    decompression, deserialization, online CPU/GIL charges, shuffle,
+    app-cache populate and the dispatch hand-off.  Bytes and cache hits
+    go to ``counters`` (a :class:`BatchCounters` or anything with its
+    attributes).  ``trace`` collects the per-resource time brackets;
+    ``detail`` (a detail tracer) records ``cache-read`` /
+    ``storage-read`` leaves under each non-``None`` ``batch_span`` on
+    ``lane`` and finishes the span.  Both only read the clock, so they
+    never change the schedule.
+
+    Every simulated batch of every strategy, tenant and request passes
+    through here.  It yields timed holds directly and loops over
+    ``items`` itself, so an epoch's reader thread runs it as its process
+    with no per-batch generator or delegating ``yield from``.
+    """
+    stored_bytes_ps_raw = stored.bytes_per_sample
+    open_factor = stored.open_latency_factor
+    overhead_ps = cal.runtime_overhead(stored_bytes_ps_raw)
+    deser_ps = (cal.DESER_FIXED + stored_bytes_ps_raw
+                * stored.deser_penalty / cal.DESER_BW_PER_THREAD
+                if stored.record_format else None)
+    online_charges = [(step.holds_gil, step.cpu_seconds)
+                      for step in online_steps if step.cpu_seconds > 0]
+    shuffle_ps = cal.SHUFFLE_PER_SAMPLE
+    dispatch_cost = machine.dispatch_cost
+    page_cache = machine.page_cache
+    memory_link = machine.memory_link
+    metadata = cluster.metadata
+    read_link = cluster.read_link
+    cores = machine.cores
+    dispatch = machine.dispatch
+    gil = machine.gil
+
+    def batches(items, lane: str = "") -> Generator[object, None, None]:
+        for k, chunk_key, batch_span in items:
+            opens = opens_per_sample * k
+            disk_bytes = k * stored_bytes_ps
+            if page_cache.lookup(chunk_key):
+                counters.cache_hits += 1
+                counters.bytes_from_cache += disk_bytes
+                cluster.cache_bytes_read += disk_bytes
+                bracket = sim._now
+                yield memory_link.transfer(disk_bytes)
+                if trace is not None:
+                    trace.memory_seconds += sim._now - bracket
+                if batch_span is not None:
+                    detail.add_complete(
+                        "cache-read", "transfer", lane, bracket, sim._now,
+                        parent=batch_span.id, args={"bytes": disk_bytes})
+            else:
+                counters.cache_misses += 1
+                counters.bytes_from_storage += disk_bytes
+                if opens > 0:
+                    bracket = sim._now
+                    yield metadata.held_for(opens * open_latency * open_factor)
+                    if trace is not None:
+                        trace.open_seconds += sim._now - bracket
+                bracket = sim._now
+                yield read_link.transfer(disk_bytes, link_tag)
+                if trace is not None:
+                    trace.read_seconds += sim._now - bracket
+                if batch_span is not None:
+                    detail.add_complete(
+                        "storage-read", "transfer", lane, bracket, sim._now,
+                        parent=batch_span.id, args={"bytes": disk_bytes})
+                page_cache.insert(chunk_key, disk_bytes)
+            yield Timeout(sim, k * overhead_ps)
+            if decompress_bw is not None:
+                bracket = sim._now
+                seconds = k * stored_bytes_ps_raw / decompress_bw
+                machine.cpu_busy_seconds += seconds
+                yield cores.held_for(seconds)
+                if trace is not None:
+                    trace.decode_seconds += sim._now - bracket
+            if deser_ps is not None:
+                bracket = sim._now
+                seconds = k * deser_ps
+                machine.cpu_busy_seconds += seconds
+                yield cores.held_for(seconds)
+                if trace is not None:
+                    trace.decode_seconds += sim._now - bracket
+            for holds_gil, cpu_seconds in online_charges:
+                bracket = sim._now
+                if holds_gil:
+                    yield gil.held_for(cpu_seconds, k)
+                    if trace is not None:
+                        trace.gil_seconds += sim._now - bracket
+                else:
+                    machine.cpu_busy_seconds += k * cpu_seconds
+                    yield cores.held_for(k * cpu_seconds)
+                    if trace is not None:
+                        trace.cpu_seconds += sim._now - bracket
+            if shuffle:
+                bracket = sim._now
+                seconds = k * shuffle_ps
+                machine.cpu_busy_seconds += seconds
+                yield cores.held_for(seconds)
+                if trace is not None:
+                    trace.shuffle_seconds += sim._now - bracket
+            if populate_app_cache:
+                bracket = sim._now
+                yield memory_link.transfer(k * app_tensor_bytes_ps)
+                if trace is not None:
+                    trace.memory_seconds += sim._now - bracket
+            bracket = sim._now
+            yield dispatch.held_for(dispatch_cost, k)
+            if trace is not None:
+                trace.dispatch_seconds += sim._now - bracket
+            if batch_span is not None:
+                detail.finish(batch_span, sim._now)
+
+    return batches
+
+
 class SimulatedBackend:
     """Deterministic full-scale strategy execution on the DES.
 
-    ``collect_traces`` attaches a per-epoch
-    :class:`~repro.sim.trace.ResourceTrace` to every
-    :class:`~repro.backends.base.EpochResult` (elapsed-time attribution
+    Every :class:`~repro.backends.base.EpochResult` carries a per-epoch
+    :class:`~repro.sim.trace.ResourceTrace` (elapsed-time attribution
     for the diagnosis layer).  Tracing only reads the simulation clock,
-    so traced and untraced runs are event-for-event identical.
+    so it never changes the schedule.
 
     The offline phase and each training epoch are exposed as *process
     generators* (:meth:`offline_process`, :meth:`epoch_process`) so they
@@ -137,13 +280,12 @@ class SimulatedBackend:
     """
 
     def __init__(self, environment: Optional[Environment] = None,
-                 collect_traces: bool = True, tracer=None):
+                 tracer=None):
         self.environment = environment or Environment()
-        self.collect_traces = collect_traces
-        #: Optional :class:`repro.obs.Tracer`.  Like ``collect_traces``,
-        #: span emission only reads the simulation clock: traced and
-        #: untraced runs schedule identical events.  Per-batch and
-        #: per-transfer spans additionally require ``tracer.detail``.
+        #: Optional :class:`repro.obs.Tracer`.  Span emission only reads
+        #: the simulation clock: traced and untraced runs schedule
+        #: identical events.  Per-batch and per-transfer spans
+        #: additionally require ``tracer.detail``.
         self.tracer = tracer
 
     # -- public entry point -----------------------------------------------
@@ -350,14 +492,10 @@ class SimulatedBackend:
         count = pipeline.sample_count
         stored = plan.materialized
         codec = get_codec(config.compression)
-        opens_per_sample = self._opens_per_sample(stored, count)
-        online_steps = plan.online_steps
-        nondet_steps = [s for s in online_steps if not s.deterministic]
         start = sim.now
-        counters = {"storage": 0.0, "cache": 0.0, "hits": 0, "misses": 0}
+        counters = BatchCounters()
         job_plans = partition_jobs(count, config.threads, config.max_jobs)
-        trace = (ResourceTrace(threads=len(job_plans))
-                 if self.collect_traces else None)
+        trace = ResourceTrace(threads=len(job_plans))
         # Span tracing (repro.obs): the epoch span is cheap; per-batch
         # and per-transfer leaves sit behind the detail flag because a
         # default scenario runs up to MAX_JOBS_PER_RUN batches per epoch.
@@ -371,182 +509,99 @@ class SimulatedBackend:
                 args={"epoch": epoch, "strategy": plan.strategy_name})
         detail = tracer if (tracer is not None and tracer.detail) else None
         epoch_span_id = epoch_span.id if epoch_span is not None else None
-        # Hot-loop bindings.  The trace brackets are inlined (they only
-        # read the clock) and every expression keeps the exact shape of
-        # the historical implementation, so traced values and simulated
-        # timestamps are reproduced bit-for-bit.
-        stored_bytes_ps_raw = stored.bytes_per_sample
-        open_latency = self._open_latency()
-        open_factor = stored.open_latency_factor
-        overhead_ps = cal.runtime_overhead(stored_bytes_ps_raw)
-        decompress_bw = (codec.costs.decompress_bw if codec is not None
-                         else None)
-        deser_ps = (cal.DESER_FIXED + stored_bytes_ps_raw
-                    * stored.deser_penalty / cal.DESER_BW_PER_THREAD
-                    if stored.record_format else None)
-        online_charges = [(step.holds_gil, step.cpu_seconds)
-                          for step in online_steps if step.cpu_seconds > 0]
-        nondet_charges = [(step.holds_gil, step.cpu_seconds)
-                          for step in nondet_steps if step.cpu_seconds > 0]
         shuffle_buffer = config.shuffle_buffer
-        shuffle_ps = cal.SHUFFLE_PER_SAMPLE
+        batches = batch_body(
+            sim, machine, cluster, stored, stored_bytes_ps,
+            self._opens_per_sample(stored, count), self._open_latency(),
+            plan.online_steps, counters, trace=trace,
+            decompress_bw=(codec.costs.decompress_bw if codec is not None
+                           else None),
+            shuffle=bool(shuffle_buffer),
+            populate_app_cache=populate_app_cache,
+            app_tensor_bytes_ps=app_tensor_bytes_ps, link_tag=link_tag,
+            detail=detail)
+        # Bindings of the app-cache path, the one per-batch path that
+        # batch_body does not cover.
+        nondet_charges = [(step.holds_gil, step.cpu_seconds)
+                          for step in plan.online_steps
+                          if not step.deterministic and step.cpu_seconds > 0]
         compression = config.compression
         stored_name = stored.name
-        dispatch_cost = machine.dispatch_cost
-        page_cache = machine.page_cache
         memory_link = machine.memory_link
-        metadata = cluster.metadata
-        read_link = cluster.read_link
         cores = machine.cores
         dispatch = machine.dispatch
         app_iter_cost = cal.APP_CACHE_ITER_COST
         gil = machine.gil
 
-        # The loops below yield timed holds directly and inline the trace
-        # brackets: one generator frame per reader thread.  This is the
-        # hottest code in the repository -- every simulated sample batch of
-        # every strategy and every tenant passes through it.
-
-        def worker(jobs: list[_JobPlan]) -> Generator[object, None, None]:
-            if shuffle_buffer and jobs and jobs[0].thread_id == 0:
-                yield Timeout(sim, cal.SHUFFLE_BUFFER_ALLOC)
-            lane = (f"{span_track}/t{jobs[0].thread_id}"
-                    if detail is not None and jobs else span_track)
-            batch_span = None
+        def job_items(jobs: list[_JobPlan], lane: str):
+            """One thread's batches as ``(samples, chunk key, detail
+            span)``; each span opens as its batch starts."""
             for job in jobs:
                 k = job.samples
-                if detail is not None:
-                    batch_span = detail.start(
-                        "batch", "batch", lane, sim._now,
-                        parent=epoch_span_id, args={"samples": k})
-                if from_app_cache:
-                    # Served entirely from the tensor cache: memory read,
-                    # non-deterministic steps, light iterator hand-off.
-                    bracket = sim._now
-                    yield memory_link.transfer(k * app_tensor_bytes_ps)
-                    if trace is not None:
-                        trace.memory_seconds += sim._now - bracket
-                    for holds_gil, cpu_seconds in nondet_charges:
-                        bracket = sim._now
-                        if holds_gil:
-                            yield gil.held_for(cpu_seconds, k)
-                            if trace is not None:
-                                trace.gil_seconds += sim._now - bracket
-                        else:
-                            machine.cpu_busy_seconds += k * cpu_seconds
-                            yield cores.held_for(k * cpu_seconds)
-                            if trace is not None:
-                                trace.cpu_seconds += sim._now - bracket
-                    bracket = sim._now
-                    yield dispatch.held_for(app_iter_cost, k)
-                    if trace is not None:
-                        trace.dispatch_seconds += sim._now - bracket
-                    if batch_span is not None:
-                        detail.finish(batch_span, sim._now)
-                    continue
-                opens = opens_per_sample * k
-                chunk_key = (chunk_namespace, stored_name, compression,
-                             job.thread_id, job.job_index)
-                disk_bytes = k * stored_bytes_ps
-                if page_cache.lookup(chunk_key):
-                    counters["hits"] += 1
-                    counters["cache"] += disk_bytes
-                    cluster.cache_bytes_read += disk_bytes
-                    bracket = sim._now
-                    yield memory_link.transfer(disk_bytes)
-                    if trace is not None:
-                        trace.memory_seconds += sim._now - bracket
-                    if batch_span is not None:
-                        detail.add_complete(
-                            "cache-read", "transfer", lane, bracket,
-                            sim._now, parent=batch_span.id,
-                            args={"bytes": disk_bytes})
-                else:
-                    counters["misses"] += 1
-                    counters["storage"] += disk_bytes
-                    if opens > 0:
-                        bracket = sim._now
-                        yield metadata.held_for(opens * open_latency
-                                                * open_factor)
-                        if trace is not None:
-                            trace.open_seconds += sim._now - bracket
-                    bracket = sim._now
-                    yield read_link.transfer(disk_bytes, link_tag)
-                    if trace is not None:
-                        trace.read_seconds += sim._now - bracket
-                    if batch_span is not None:
-                        detail.add_complete(
-                            "storage-read", "transfer", lane, bracket,
-                            sim._now, parent=batch_span.id,
-                            args={"bytes": disk_bytes})
-                    page_cache.insert(chunk_key, disk_bytes)
-                yield Timeout(sim, k * overhead_ps)
-                if decompress_bw is not None:
-                    bracket = sim._now
-                    seconds = k * stored_bytes_ps_raw / decompress_bw
-                    machine.cpu_busy_seconds += seconds
-                    yield cores.held_for(seconds)
-                    if trace is not None:
-                        trace.decode_seconds += sim._now - bracket
-                if deser_ps is not None:
-                    bracket = sim._now
-                    seconds = k * deser_ps
-                    machine.cpu_busy_seconds += seconds
-                    yield cores.held_for(seconds)
-                    if trace is not None:
-                        trace.decode_seconds += sim._now - bracket
-                for holds_gil, cpu_seconds in online_charges:
+                yield (k, (chunk_namespace, stored_name, compression,
+                           job.thread_id, job.job_index),
+                       None if detail is None else detail.start(
+                           "batch", "batch", lane, sim._now,
+                           parent=epoch_span_id, args={"samples": k}))
+
+        def app_cache_batches(items) -> Generator[object, None, None]:
+            """Served entirely from the tensor cache: memory read,
+            non-deterministic steps, light iterator hand-off."""
+            for k, _, batch_span in items:
+                bracket = sim._now
+                yield memory_link.transfer(k * app_tensor_bytes_ps)
+                trace.memory_seconds += sim._now - bracket
+                for holds_gil, cpu_seconds in nondet_charges:
                     bracket = sim._now
                     if holds_gil:
                         yield gil.held_for(cpu_seconds, k)
-                        if trace is not None:
-                            trace.gil_seconds += sim._now - bracket
+                        trace.gil_seconds += sim._now - bracket
                     else:
                         machine.cpu_busy_seconds += k * cpu_seconds
                         yield cores.held_for(k * cpu_seconds)
-                        if trace is not None:
-                            trace.cpu_seconds += sim._now - bracket
-                if shuffle_buffer:
-                    bracket = sim._now
-                    seconds = k * shuffle_ps
-                    machine.cpu_busy_seconds += seconds
-                    yield cores.held_for(seconds)
-                    if trace is not None:
-                        trace.shuffle_seconds += sim._now - bracket
-                if populate_app_cache:
-                    bracket = sim._now
-                    yield memory_link.transfer(k * app_tensor_bytes_ps)
-                    if trace is not None:
-                        trace.memory_seconds += sim._now - bracket
+                        trace.cpu_seconds += sim._now - bracket
                 bracket = sim._now
-                yield dispatch.held_for(dispatch_cost, k)
-                if trace is not None:
-                    trace.dispatch_seconds += sim._now - bracket
+                yield dispatch.held_for(app_iter_cost, k)
+                trace.dispatch_seconds += sim._now - bracket
                 if batch_span is not None:
                     detail.finish(batch_span, sim._now)
 
-        processes = [sim.process(worker(jobs), name=f"worker-{i}")
-                     for i, jobs in enumerate(job_plans)]
+        def after_shuffle_alloc(body) -> Generator[object, None, None]:
+            yield Timeout(sim, cal.SHUFFLE_BUFFER_ALLOC)
+            yield from body
+
+        # Each reader thread's process runs its batch loop directly: a
+        # wrapping generator would cost a frame resume on every yield.
+        processes = []
+        for thread_id, jobs in enumerate(job_plans):
+            lane = (f"{span_track}/t{thread_id}" if detail is not None
+                    else span_track)
+            items = job_items(jobs, lane)
+            body = (app_cache_batches(items) if from_app_cache
+                    else batches(items, lane))
+            if shuffle_buffer and thread_id == 0:
+                body = after_shuffle_alloc(body)
+            processes.append(sim.process(body, name=f"worker-{thread_id}"))
         yield all_of(sim, processes)
         if epoch_span is not None:
             tracer.finish(epoch_span, sim.now)
-        lookups = counters["hits"] + counters["misses"]
-        epoch_result = EpochResult(
+        lookups = counters.cache_hits + counters.cache_misses
+        duration = sim.now - start
+        trace.duration = duration
+        trace.bytes_from_storage = counters.bytes_from_storage
+        trace.bytes_from_cache = counters.bytes_from_cache
+        trace.cache_hit_rate = (counters.cache_hits / lookups if lookups
+                                else 0.0)
+        return EpochResult(
             epoch=epoch,
-            duration=sim.now - start,
+            duration=duration,
             samples=count,
-            bytes_from_storage=counters["storage"],
-            bytes_from_cache=counters["cache"],
-            cache_hit_rate=counters["hits"] / lookups if lookups else 0.0,
+            bytes_from_storage=counters.bytes_from_storage,
+            bytes_from_cache=counters.bytes_from_cache,
+            cache_hit_rate=trace.cache_hit_rate,
             served_from_app_cache=from_app_cache,
             trace=trace,
         )
-        if trace is not None:
-            trace.duration = epoch_result.duration
-            trace.bytes_from_storage = epoch_result.bytes_from_storage
-            trace.bytes_from_cache = epoch_result.bytes_from_cache
-            trace.cache_hit_rate = epoch_result.cache_hit_rate
-        return epoch_result
 
     # -- helpers ------------------------------------------------------------
 

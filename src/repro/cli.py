@@ -564,6 +564,17 @@ def _cmd_fanout(args) -> int:
                           simulate=args.simulate)))
 
 
+def _parse_flag(text: str) -> bool:
+    """``1/true/yes/on`` or ``0/false/no/off`` in any case; any other
+    spelling raises, so a typo never silently reads as off."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
 #: ``--faults`` keys -> (FaultsSpec field, coercion).  Dashes are
 #: accepted in place of underscores on the command line.
 _FAULT_KEYS = {
@@ -575,7 +586,7 @@ _FAULT_KEYS = {
     "severity": float,
     "horizon": float,
     "checkpoint_epochs": int,
-    "shed_slo": lambda text: text.lower() in ("1", "true", "yes", "on"),
+    "shed_slo": _parse_flag,
 }
 
 

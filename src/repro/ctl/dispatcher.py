@@ -99,7 +99,7 @@ class Dispatcher(PreprocessingService):
     """Submit/cancel/retry control plane over the preprocessing service."""
 
     def __init__(self, policy="fifo", slots: int = 2,
-                 environment=None, backend=None,
+                 environment=None,
                  materialize_offline: bool = True,
                  tie_break: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -111,7 +111,7 @@ class Dispatcher(PreprocessingService):
                  checkpoint_epochs: int = 0,
                  shed_slo: bool = False):
         super().__init__(policy=policy, slots=slots,
-                         environment=environment, backend=backend,
+                         environment=environment,
                          materialize_offline=materialize_offline,
                          tie_break=tie_break, metrics=metrics,
                          metrics_interval=metrics_interval, tracer=tracer,

@@ -16,8 +16,8 @@ slipped through until a golden flaked.  simlint enforces the rules
   listings, no set-order iteration, no float ``==`` on sim timestamps,
   no mutable defaults in spec layers, no swallowed kernel failures,
   the telemetry null-object wall);
-* :mod:`repro.lint.cli` -- the ``presto lint`` / ``tools/simlint.py``
-  entry point with an exit-code gate for CI.
+* :mod:`repro.lint.cli` -- the ``presto lint`` entry point with an
+  exit-code gate for CI.
 
 The analyzer is stdlib-``ast`` only (no third-party dependency), in the
 same spirit as ``tools/diagnosis_coverage.py``.  See ``docs/lint.md``

@@ -1,5 +1,6 @@
-"""Command-line front end for simlint (``presto lint`` and
-``tools/simlint.py`` both land here).
+"""Command-line front end for simlint (``presto lint``; ``make lint``
+runs ``python -m repro.cli lint``).  The rule catalog and the pragma
+syntax are documented in ``docs/lint.md``.
 
 Exit codes follow the CI-gate convention: ``0`` clean, ``1`` findings,
 ``2`` usage errors (no such path, unknown rule id).
@@ -115,7 +116,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point shared by ``presto lint`` and ``tools/simlint.py``."""
+    """Entry point of ``presto lint``."""
     return run(argv)
 
 

@@ -10,7 +10,8 @@ regressions.  Regression direction is metric-aware:
 * ``events``         -- *any* change is flagged (deterministic cost
   drifted, which must be an acknowledged decision, never an accident).
 
-Exposed as ``presto trend A.json B.json ...`` and ``tools/bench_trend.py``.
+Exposed as ``presto trend A.json B.json ...``; the snapshots come from
+``benchmarks/perf/bench_serve.py``.
 """
 
 from __future__ import annotations

@@ -272,7 +272,6 @@ class PreprocessingService:
 
     def __init__(self, policy="fifo", slots: int = 2,
                  environment: Optional[Environment] = None,
-                 backend: Optional[SimulatedBackend] = None,
                  materialize_offline: bool = True,
                  tie_break: Optional[str] = None,
                  metrics=None, metrics_interval: float = 60.0,
@@ -291,7 +290,7 @@ class PreprocessingService:
         self.policy: SchedulerPolicy = get_policy(policy)
         self.slots = slots
         self.environment = environment or Environment()
-        self.backend = backend or SimulatedBackend(self.environment)
+        self.backend = SimulatedBackend(self.environment, tracer=tracer)
         #: ``"tenant"`` orders mathematically simultaneous storage-link
         #: completions by (timestamp, tenant id) instead of admission
         #: order, pinning knife-edge thrash scenarios (serve64_hot_raw)
@@ -308,8 +307,6 @@ class PreprocessingService:
         self.metrics = metrics
         self.metrics_interval = metrics_interval
         self.tracer = tracer
-        if tracer is not None:
-            self.backend.tracer = tracer
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``.  With no plan the engine is never constructed and
         #: the run schedules zero extra events -- the faults-off

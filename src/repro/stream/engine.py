@@ -8,14 +8,14 @@ cache).  Each tenant runs an *arrival process* (replaying its seeded
 schedule) feeding ``workers`` concurrent request processors through a
 queue with optional depth bounds (block or shed on overflow).
 
-Each request executes the same per-job resource sequence as one batched
-job of a training epoch -- opens, page-cache-aware network read,
-deserialization, online CPU/GIL work, dispatch hand-off -- with every
-expression kept in the exact shape of
-:meth:`~repro.backends.simulated.SimulatedBackend.epoch_process`.  That
-shape is load-bearing: the differential wall replays a training epoch's
-job partition (:func:`~repro.stream.requests.epoch_request_plans`)
-through this engine and requires the epoch timings back to ~1e-12.
+Each request is served by the very per-batch body a training epoch
+runs, :func:`~repro.backends.simulated.batch_body` -- opens,
+page-cache-aware network read, deserialization, online CPU/GIL work,
+dispatch hand-off -- so the resource model exists once.  The
+differential wall replays a training epoch's job partition
+(:func:`~repro.stream.requests.epoch_request_plans`) through this
+engine and requires the epoch timings back to ~1e-12, which pins what
+is the stream's own: its queueing and pinned dispatch.
 """
 
 from __future__ import annotations
@@ -23,18 +23,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import isnan
-from typing import Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
-from repro import calibration as cal
 from repro.backends.base import CACHE_SYSTEM, Environment, RunConfig
-from repro.backends.simulated import SimulatedBackend
+from repro.backends.simulated import SimulatedBackend, batch_body
 from repro.errors import ProfilingError
 from repro.faults.gate import slo_shed_decision
 from repro.pipelines.base import SplitPlan
 from repro.serve.runtime import ClusterRuntime
-from repro.sim.cluster import StorageCluster
-from repro.sim.cpu import Machine
-from repro.sim.events import Event, Simulation, Timeout
+from repro.sim.events import Event, Simulation
 from repro.stream.report import (RequestLog, StreamReport,
                                  TenantStreamResult)
 from repro.stream.requests import (StreamTenantSpec, arrival_schedule,
@@ -58,11 +55,12 @@ class _Shard:
 
 @dataclass
 class _TenantStream:
-    """Runtime state plus hot-loop bindings for one tenant stream.
+    """Runtime state of one tenant stream.
 
-    The binding fields cache every per-request constant exactly as the
-    epoch worker's hot-loop bindings do, so the request body below can
-    keep the epoch body's expression shapes verbatim.
+    ``batches`` is the tenant's
+    :func:`~repro.backends.simulated.batch_body`, bound once the cluster
+    exists; a request's page-cache chunk key is
+    ``(namespace, stored_name, None, chunk)``.
     """
 
     spec: StreamTenantSpec
@@ -73,17 +71,9 @@ class _TenantStream:
     pinned: bool = False
     closed: bool = False
     depth: int = 0          # requests waiting in queues (not in service)
-    # -- request-body bindings (set once before simulation start) --
     namespace: tuple = ()
     stored_name: str = ""
-    stored_bytes_ps: float = 0.0
-    stored_bytes_ps_raw: float = 0.0
-    opens_per_sample: float = 0.0
-    open_latency: float = 0.0
-    open_factor: float = 1.0
-    overhead_ps: float = 0.0
-    deser_ps: Optional[float] = None
-    online_charges: tuple = ()
+    batches: Optional[Callable] = None
 
     def shard_for(self, row: int) -> _Shard:
         return self.shards[self.log.pinned[row] if self.pinned else 0]
@@ -93,14 +83,12 @@ class StreamingService:
     """Run tenant request streams on one shared simulated cluster."""
 
     def __init__(self, environment: Optional[Environment] = None,
-                 backend: Optional[SimulatedBackend] = None,
                  metrics=None, metrics_interval: float = 60.0,
                  tracer=None, faults=None):
         if metrics is not None and metrics_interval <= 0:
             raise ProfilingError(
                 f"metrics_interval must be positive, got {metrics_interval}")
         self.environment = environment or Environment()
-        self.backend = backend or SimulatedBackend(self.environment)
         #: Telemetry hooks (:mod:`repro.obs`); null by default, and with
         #: them off the stream schedules zero extra kernel events.
         self.metrics = metrics
@@ -109,12 +97,9 @@ class StreamingService:
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``; with no plan the run schedules zero extra events.
         self.fault_plan = faults
-        # Per-run state, initialised in run().  The request body reads
-        # the simulation, machine and cluster as plain attributes.
+        # Per-run state, initialised in run().
         self._runtime: ClusterRuntime = None  # type: ignore[assignment]
         self._sim: Simulation = None  # type: ignore[assignment]
-        self._machine: Machine = None  # type: ignore[assignment]
-        self._cluster: StorageCluster = None  # type: ignore[assignment]
         self._contexts: list = []
         self._live_workers = 0
 
@@ -146,8 +131,18 @@ class StreamingService:
             metrics_interval=self.metrics_interval, tracer=self.tracer)
         self._runtime = runtime
         sim = self._sim = runtime.sim
-        self._machine = runtime.machine
-        self._cluster = runtime.cluster
+        open_latency = self.environment.storage.pipeline_open_latency
+        for ctx in contexts:
+            # Streams serve the pre-materialised, uncompressed artifact
+            # with the page cache live: the materialize_offline=False,
+            # cache_mode="system" corner of the epoch model.
+            stored = ctx.plan.materialized
+            ctx.batches = batch_body(
+                sim, runtime.machine, runtime.cluster, stored,
+                stored.bytes_per_sample,
+                SimulatedBackend._opens_per_sample(
+                    stored, ctx.plan.pipeline.sample_count),
+                open_latency, ctx.plan.online_steps, ctx.result)
         self._set_baselines(contexts)
         self._contexts = contexts
         self._live_workers = sum(spec.workers for spec in streams)
@@ -197,13 +192,12 @@ class StreamingService:
             log = RequestLog.from_schedule(
                 arrivals, spec.batch,
                 request_chunks(len(arrivals), chunk_count))
-        ctx = _TenantStream(
+        return _TenantStream(
             spec=spec, plan=plan,
             result=TenantStreamResult(spec=spec, log=log), log=log,
             shards=[_Shard() for _ in range(spec.workers if pinned else 1)],
-            pinned=pinned)
-        self._bind(ctx)
-        return ctx
+            pinned=pinned, namespace=("stream", spec.tenant),
+            stored_name=plan.materialized.name)
 
     @staticmethod
     def _planned_log(spec: StreamTenantSpec, planned) -> RequestLog:
@@ -229,34 +223,6 @@ class StreamingService:
                     f"stream {spec.tenant!r}: pinned worker ids {bad} "
                     f"outside 0..{spec.workers - 1}")
         return RequestLog.from_plans(planned)
-
-    def _bind(self, ctx: _TenantStream) -> None:
-        """Freeze the request-body constants (epoch hot-loop bindings).
-
-        Streams always serve the pre-materialised, uncompressed artifact
-        with the page cache live -- the ``materialize_offline=False``,
-        ``cache_mode="system"`` corner of the epoch model.
-        """
-        plan = ctx.plan
-        stored = plan.materialized
-        if plan.is_unprocessed:
-            ctx.stored_bytes_ps = stored.bytes_per_sample
-        else:
-            ctx.stored_bytes_ps = stored.compressed_bytes_per_sample(None)
-        ctx.stored_bytes_ps_raw = stored.bytes_per_sample
-        ctx.namespace = ("stream", ctx.spec.tenant)
-        ctx.stored_name = stored.name
-        ctx.opens_per_sample = self.backend._opens_per_sample(
-            stored, plan.pipeline.sample_count)
-        ctx.open_latency = self.environment.storage.pipeline_open_latency
-        ctx.open_factor = stored.open_latency_factor
-        ctx.overhead_ps = cal.runtime_overhead(ctx.stored_bytes_ps_raw)
-        ctx.deser_ps = (cal.DESER_FIXED + ctx.stored_bytes_ps_raw
-                        * stored.deser_penalty / cal.DESER_BW_PER_THREAD
-                        if stored.record_format else None)
-        ctx.online_charges = tuple(
-            (step.holds_gil, step.cpu_seconds)
-            for step in plan.online_steps if step.cpu_seconds > 0)
 
     def _set_baselines(self, contexts: Sequence[_TenantStream]) -> None:
         """Uncontended analytic service time per batch (the SLO anchor),
@@ -354,6 +320,9 @@ class StreamingService:
         started = log.started
         completed = log.completed
         order = log.order
+        batches = ctx.batches
+        namespace = ctx.namespace
+        stored_name = ctx.stored_name
         while True:
             if shard.queue:
                 row = shard.queue.popleft()
@@ -370,75 +339,22 @@ class StreamingService:
                     break
             workers[row] = wid
             started[row] = sim.now
-            # The span brackets _request_body without touching it: the
-            # body's expression shapes are pinned by the 1e-12
-            # differential wall and the tracer only reads the clock.
+            # The request span brackets the shared batch body; the tracer
+            # only reads the clock.
             span = None
             if tracer is not None:
                 span = tracer.start(
                     f"request {log.index[row]}", "request", lane, sim.now,
                     args={"batch": log.batch[row],
                           "chunk": log.chunk[row]})
-            yield from self._request_body(ctx, row)
+            item = (log.batch[row],
+                    (namespace, stored_name, None, log.chunk[row]), None)
+            yield from batches((item,))
             completed[row] = sim.now
             if span is not None:
                 tracer.finish(span, sim.now)
             order.append(row)
         self._live_workers -= 1
-
-    def _request_body(self, ctx: _TenantStream, row: int
-                      ) -> Generator[object, None, None]:
-        """Serve the request batch at log position ``row`` through the
-        shared resource model.
-
-        Expression-for-expression the per-job body of
-        ``SimulatedBackend.epoch_process`` (page-cache lookup, metadata
-        opens, link read, runtime overhead, deserialize, online
-        CPU/GIL charges, dispatch hand-off) minus the phases a stream
-        never runs (decompression, shuffle, app-cache) -- keep it that
-        way or the 1e-12 differential wall breaks.
-        """
-        sim = self._sim
-        machine = self._machine
-        cluster = self._cluster
-        result = ctx.result
-        page_cache = machine.page_cache
-        memory_link = machine.memory_link
-        metadata = cluster.metadata
-        read_link = cluster.read_link
-        cores = machine.cores
-        dispatch = machine.dispatch
-        gil = machine.gil
-
-        k = ctx.log.batch[row]
-        opens = ctx.opens_per_sample * k
-        chunk_key = (ctx.namespace, ctx.stored_name, None, ctx.log.chunk[row])
-        disk_bytes = k * ctx.stored_bytes_ps
-        if page_cache.lookup(chunk_key):
-            result.cache_hits += 1
-            result.bytes_from_cache += disk_bytes
-            cluster.cache_bytes_read += disk_bytes
-            yield memory_link.transfer(disk_bytes)
-        else:
-            result.cache_misses += 1
-            result.bytes_from_storage += disk_bytes
-            if opens > 0:
-                yield metadata.held_for(opens * ctx.open_latency
-                                        * ctx.open_factor)
-            yield read_link.transfer(disk_bytes, "")
-            page_cache.insert(chunk_key, disk_bytes)
-        yield Timeout(sim, k * ctx.overhead_ps)
-        if ctx.deser_ps is not None:
-            seconds = k * ctx.deser_ps
-            machine.cpu_busy_seconds += seconds
-            yield cores.held_for(seconds)
-        for holds_gil, cpu_seconds in ctx.online_charges:
-            if holds_gil:
-                yield gil.held_for(cpu_seconds, k)
-            else:
-                machine.cpu_busy_seconds += k * cpu_seconds
-                yield cores.held_for(k * cpu_seconds)
-        yield dispatch.held_for(machine.dispatch_cost, k)
 
     # -- reporting -----------------------------------------------------------
 
@@ -454,8 +370,8 @@ class StreamingService:
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache
                                  for tenant in tenants),
-            metadata_peak_in_use=self._cluster.metadata.peak_in_use,
-            page_cache_evictions=self._machine.page_cache.evictions,
+            metadata_peak_in_use=self._runtime.cluster.metadata.peak_in_use,
+            page_cache_evictions=self._runtime.machine.page_cache.evictions,
         )
         self._runtime.stamp(report)
         return report

@@ -9,7 +9,7 @@ does.
 import pytest
 
 from repro.api import ExperimentSpec, FaultsSpec
-from repro.cli import _parse_faults
+from repro.cli import _parse_faults, main
 from repro.errors import ReproError, SpecError
 
 
@@ -134,6 +134,24 @@ class TestCliParser:
     def test_falsy_shed_slo_strings(self):
         assert _parse_faults("shed-slo=0").shed_slo is False
         assert _parse_faults("shed-slo=off").shed_slo is False
+
+    @pytest.mark.parametrize("word,expected", [
+        ("TRUE", True), ("Yes", True), ("ON", True), ("1", True),
+        ("False", False), ("NO", False), ("Off", False), ("0", False),
+    ])
+    def test_shed_slo_spellings_are_case_insensitive(self, word,
+                                                     expected):
+        assert _parse_faults(f"shed-slo={word}").shed_slo is expected
+
+    @pytest.mark.parametrize("word", ["ture", "flase", "2", "y", "",
+                                      "enabled"])
+    def test_misspelt_shed_slo_rejected(self, word):
+        with pytest.raises(ReproError, match="shed-slo"):
+            _parse_faults(f"shed-slo={word}")
+
+    def test_misspelt_shed_slo_exits_2(self, capsys):
+        assert main(["ctl", "--faults", "shed-slo=ture"]) == 2
+        assert "shed-slo" in capsys.readouterr().err
 
     def test_unknown_key_rejected_with_the_valid_list(self):
         with pytest.raises(ReproError, match="crash-windows"):

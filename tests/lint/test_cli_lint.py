@@ -1,4 +1,4 @@
-"""CLI tests for ``presto lint`` / ``tools/simlint.py``."""
+"""CLI tests for ``presto lint``."""
 
 import json
 from pathlib import Path
@@ -67,15 +67,3 @@ def test_findings_carry_file_line_col(capsys):
     # file:line:col: rule [severity] message
     assert first.count(":") >= 3
     assert "silent-except" in first
-
-
-def test_standalone_tool_matches_cli(capsys):
-    import subprocess
-    import sys
-    fixture = str(FIXTURES / "global_rng.py")
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "simlint.py"), fixture],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert main(["lint", fixture]) == 1
-    assert proc.stdout == capsys.readouterr().out

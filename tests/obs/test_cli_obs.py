@@ -143,15 +143,3 @@ class TestTrendCommand:
         bogus.write_text("{}")
         assert main(["trend", str(bogus), str(bogus)]) == 2
         assert "presto: error" in capsys.readouterr().err
-
-    def test_bench_trend_tool_forwards(self, series):
-        import subprocess
-        import sys
-        from pathlib import Path
-        repo = Path(__file__).resolve().parents[2]
-        proc = subprocess.run(
-            [sys.executable, str(repo / "tools" / "bench_trend.py"),
-             *series, "--fail-on-regression"],
-            capture_output=True, text=True)
-        assert proc.returncode == 3
-        assert "REGRESSION" in proc.stdout

@@ -210,3 +210,22 @@ class TestTelemetryOnOutputsArePinned:
                                   sort_keys=False)) == metrics_sha
         assert report.events_processed == events
         assert _sha256(rendered) == report_sha
+
+    @pytest.mark.parametrize("run,trace_sha", [
+        (lambda tracer: PreprocessingService(
+            policy="cache-aware", tracer=tracer).run(serve_jobs()),
+         "1f5e7c3626db1b2d54d8fd8fca3eded20ebd32bef0d72adca9df3d2e02ee012d"),
+        (lambda tracer: Dispatcher(tracer=tracer).run(ctl_jobs()),
+         "bcc4832d50c14c7fc5c38d7674d9057c8601bffe6db148164e2639b73f555a3a"),
+        (lambda tracer: StreamingService(tracer=tracer).run(
+            streams(), seed=0),
+         "c26570177abd7a5de955f68e2c18a39257d077db029a8e91087b3e78cd27421a"),
+    ], ids=["serve", "ctl", "stream"])
+    def test_detail_trace_matches_pins(self, run, trace_sha):
+        """The ``batch``, ``cache-read`` and ``storage-read`` leaves a
+        ``detail=True`` tracer records, pinned byte-for-byte alongside
+        the epoch, job and request spans around them."""
+        tracer = Tracer(detail=True)
+        run(tracer)
+        assert _sha256(json.dumps(tracer.to_chrome(),
+                                  sort_keys=True)) == trace_sha

@@ -3,10 +3,13 @@
 Replaying a training epoch's job partition through the streaming
 engine -- one request per job, pinned to its thread's worker, all
 arriving at t=0, every chunk cold, deadlines off -- must reproduce the
-single-tenant serve run's epoch timings to ~1e-12.  This pins the
-request body to the epoch body expression-for-expression: any drift in
-resource acquisition order, float expression shape or accounting shows
-up here as a relative error far above 1e-12.
+single-tenant serve run's epoch timings to ~1e-12.  Epochs and
+requests run the same per-batch body
+(:func:`repro.backends.simulated.batch_body`), so this pins what the
+stream adds around it: queueing, pinned dispatch to the epoch's
+thread partition, and the per-tenant binding of the body.  Any drift
+in hand-off order or accounting shows up here as a relative error far
+above 1e-12.
 """
 
 import pytest
