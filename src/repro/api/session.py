@@ -279,16 +279,16 @@ class Session:
             result = sweep_policies(trace, slots=serve.slots,
                                     environment=environment,
                                     tie_break=serve.tie_break)
+            frame = result.frame()
             parts = [f"## serve: {header}, policies compared",
-                     result.frame().to_markdown(), "",
+                     frame.to_markdown(), "",
                      f"best policy by aggregate throughput: "
                      f"{result.best_policy()}"]
             for report in result.reports:
                 parts += ["", diagnose_service(report).to_markdown()]
             events = sum(report.events_processed
                          for report in result.reports)
-            return self._artifact(spec, result.frame(),
-                                  "\n".join(parts), events)
+            return self._artifact(spec, frame, "\n".join(parts), events)
         metrics, interval, tracer = self._telemetry_hooks()
         service = PreprocessingService(policy=serve.policy,
                                        slots=serve.slots,

@@ -605,6 +605,9 @@ def _parse_faults(text: Optional[str]) -> FaultsSpec:
             raise ReproError(
                 f"bad --faults entry {item!r}; expected key=value with "
                 f"keys: {', '.join(k.replace('_', '-') for k in _FAULT_KEYS)}")
+        if key in kwargs:
+            raise ReproError(
+                f"duplicate --faults key {key.replace('_', '-')!r}")
         try:
             kwargs[key] = _FAULT_KEYS[key](value.strip())
         except ValueError:

@@ -100,7 +100,6 @@ class Dispatcher(PreprocessingService):
 
     def __init__(self, policy="fifo", slots: int = 2,
                  environment=None,
-                 materialize_offline: bool = True,
                  tie_break: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
                  admission_limit: Optional[int] = None,
@@ -112,7 +111,6 @@ class Dispatcher(PreprocessingService):
                  shed_slo: bool = False):
         super().__init__(policy=policy, slots=slots,
                          environment=environment,
-                         materialize_offline=materialize_offline,
                          tie_break=tie_break, metrics=metrics,
                          metrics_interval=metrics_interval, tracer=tracer,
                          faults=faults)

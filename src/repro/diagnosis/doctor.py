@@ -235,35 +235,6 @@ class BottleneckDoctor:
                 rewrites=rewrites))
         return diagnosis
 
-    # -- cluster-level diagnosis ---------------------------------------------
-
-    def diagnose_service(self, report):
-        """Attribute a multi-tenant service run's thread-time and rank
-        shared-resource findings.
-
-        ``report`` is a :class:`repro.serve.service.ServiceReport`; the
-        return value is a
-        :class:`repro.serve.doctor.ServiceDiagnosis` whose findings are
-        cluster-level verdicts ("metadata service saturated by tenant
-        churn", "duplicate offline preprocessing", ...).  Imported
-        lazily: the serving layer sits above diagnosis in the stack.
-        """
-        from repro.serve.doctor import diagnose_service
-        return diagnose_service(report)
-
-    def diagnose_stream(self, report):
-        """Rank latency rewrites for a streaming run.
-
-        ``report`` is a :class:`repro.stream.report.StreamReport`; the
-        return value is a
-        :class:`repro.stream.doctor.StreamDiagnosis` whose findings are
-        per-tenant latency rewrites (shrink-batch, raise-prefetch,
-        shed-admission) anchored by predicted p99 deltas.  Imported
-        lazily: the streaming layer sits above diagnosis in the stack.
-        """
-        from repro.stream.doctor import diagnose_stream
-        return diagnose_stream(report)
-
     # -- verification --------------------------------------------------------
 
     def verify(self, diagnosis: PipelineDiagnosis,

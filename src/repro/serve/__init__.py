@@ -19,8 +19,8 @@ CLI surface: ``presto serve --tenants 8 --policy cache-aware --seed 0``.
 from repro.lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.serve.doctor": ("ServiceDiagnosis", "ServiceFinding",
-                           "cluster_fractions", "diagnose_service"),
+    "repro.serve.doctor": ("Diagnosis", "Finding", "cluster_fractions",
+                           "diagnose_service"),
     "repro.serve.fanout": ("fan_out_frame_simulated", "fan_out_trace",
                            "simulate_fan_out"),
     "repro.serve.jobs": ("DEFAULT_PIPELINE_MIX", "TRACE_KINDS", "JobSpec",
@@ -38,7 +38,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "CacheAwarePolicy",
     "DEFAULT_PIPELINE_MIX",
+    "Diagnosis",
     "FairSharePolicy",
+    "Finding",
     "FifoPolicy",
     "JobSpec",
     "POLICIES",
@@ -46,8 +48,6 @@ __all__ = [
     "PolicySweepResult",
     "PreprocessingService",
     "SchedulerPolicy",
-    "ServiceDiagnosis",
-    "ServiceFinding",
     "ServiceReport",
     "TRACE_KINDS",
     "TenantJob",

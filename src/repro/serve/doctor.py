@@ -11,9 +11,11 @@ counters -- the kind of verdicts a cluster operator acts on
 ("metadata service saturated by tenant churn", "duplicate offline
 preprocessing", "shared read link saturated").
 
-:class:`~repro.diagnosis.doctor.BottleneckDoctor` exposes this as
-``diagnose_service(report)``, so the single-job and cluster-level
-paths share one entry point.
+:class:`Finding` and :class:`Diagnosis` are the one ranked-verdict
+format the cluster doctor and the stream latency doctor
+(:mod:`repro.stream.doctor`) both return.  They live here, not in
+:mod:`repro.diagnosis`, so a simulator run never imports the analytic
+model to render its doctor.
 """
 
 from __future__ import annotations
@@ -25,80 +27,107 @@ from repro.backends.base import Environment
 from repro.errors import DiagnosisError
 from repro.serve.service import ServiceReport
 from repro.sim.trace import TRACE_CATEGORIES
-from repro.units import fmt_bytes
+from repro.units import fmt_bytes, fmt_duration
 
 
 @dataclass(frozen=True)
-class ServiceFinding:
-    """One ranked cluster-level verdict with its supporting numbers."""
+class Finding:
+    """One ranked verdict with its supporting numbers."""
 
     kind: str
     severity: float          # 0..1-ish ranking score, higher is worse
     detail: str
+    #: The tenant a per-tenant rewrite targets (None when cluster-wide).
+    tenant: Optional[str] = None
+    #: Label rendered in brackets after the kind (None renders none).
+    scope: Optional[str] = None
+    #: p99 request latency the rewrite predicts (None when the finding
+    #: is informational rather than a rewrite).
+    predicted_p99: Optional[float] = None
 
     def describe(self) -> str:
-        return f"{self.kind}: {self.detail}"
+        label = self.kind if self.scope is None \
+            else f"{self.kind}[{self.scope}]"
+        text = f"{label}: {self.detail}"
+        if self.predicted_p99 is not None:
+            text += f" -> predicted p99 ~{fmt_duration(self.predicted_p99)}"
+        return text
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "severity": self.severity,
-                "detail": self.detail}
+                "detail": self.detail, "tenant": self.tenant,
+                "predicted_p99": self.predicted_p99}
 
 
 @dataclass
-class ServiceDiagnosis:
-    """Cluster attribution plus ranked findings for one service run."""
+class Diagnosis:
+    """Ranked findings under one header line for one run.
 
-    policy: str
-    #: Thread-time fractions over all tenant epochs; sums to 1.0.
-    fractions: dict = field(default_factory=dict)
-    findings: list[ServiceFinding] = field(default_factory=list)
+    Findings rank highest severity first, ties broken by kind then
+    tenant.
+    """
+
+    header: str
+    #: Rendered in place of the ranked list when nothing fired.
+    empty_note: str
+    findings: list[Finding] = field(default_factory=list)
+    #: Run-level fields :meth:`to_dict` exports ahead of the findings.
+    summary: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.findings = sorted(
+            self.findings, key=lambda finding: (
+                -finding.severity, finding.kind, finding.tenant or ""))
 
     @property
-    def dominant(self) -> str:
-        return max(self.fractions, key=self.fractions.get)
-
-    @property
-    def top_finding(self) -> ServiceFinding:
+    def top_finding(self) -> Finding:
         if not self.findings:
             raise DiagnosisError("no findings in this diagnosis")
         return self.findings[0]
 
-    def describe(self) -> str:
-        shares = ", ".join(f"{name} {value:.0%}"
-                           for name, value in self.fractions.items())
-        return f"bound on {self.dominant} ({shares})"
-
     def to_markdown(self) -> str:
-        lines = [f"cluster diagnosis [{self.policy}]: {self.describe()}"]
+        lines = [self.header]
         for rank, finding in enumerate(self.findings, start=1):
             lines.append(f"  {rank}. {finding.describe()}")
         if not self.findings:
-            lines.append("  (no cluster-level pressure detected)")
+            lines.append(f"  {self.empty_note}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
         """Machine-readable export (the uniform doctor schema)."""
-        return {
-            "doctor": "service",
-            "policy": self.policy,
-            "dominant": self.dominant,
-            "fractions": dict(self.fractions),
-            "findings": [finding.to_dict() for finding in self.findings],
-        }
+        return {**self.summary,
+                "findings": [finding.to_dict() for finding in self.findings]}
 
 
-def cluster_fractions(report: ServiceReport) -> dict:
-    """Merge every tenant epoch trace into one attribution.
+def read_link_finding(report, storage, advice: str,
+                      scope: Optional[str] = None) -> Optional[Finding]:
+    """Shared read link utilisation over ``report``'s whole window, as
+    a finding when the link ran more than half busy."""
+    if report.makespan > 0:
+        link_util = (report.bytes_from_storage
+                     / (storage.aggregate_bw * report.makespan))
+        if link_util > 0.5:
+            return Finding(
+                "read-link-saturation", min(link_util, 1.0),
+                f"shared read link at {link_util:.0%} of "
+                f"{fmt_bytes(storage.aggregate_bw)}/s aggregate over the "
+                f"window; {advice}", scope=scope)
+    return None
 
-    Unlike :meth:`ResourceTrace.merged` this tolerates heterogeneous
-    thread widths: each epoch contributes its own wall x threads budget.
-    """
+
+def _thread_seconds(report: ServiceReport) -> tuple:
+    """Per-category thread-seconds summed over every tenant epoch, and
+    the wall x threads budget they share (one pass, trace order)."""
     totals = {category: 0.0 for category in TRACE_CATEGORIES}
     budget = 0.0
     for trace in report.epoch_traces():
         budget += trace.total_thread_seconds
         for category in TRACE_CATEGORIES:
             totals[category] += getattr(trace, f"{category}_seconds")
+    return totals, budget
+
+
+def _fractions(totals: dict, budget: float) -> dict:
     if budget <= 0:
         return {"cpu": 0.0, "storage": 0.0, "decode": 0.0, "stall": 1.0}
     cpu = (totals["cpu"] + totals["gil"]) / budget
@@ -113,68 +142,56 @@ def cluster_fractions(report: ServiceReport) -> dict:
             "stall": 1.0 - accounted}
 
 
-def _open_fraction(report: ServiceReport) -> float:
-    budget = opens = 0.0
-    for trace in report.epoch_traces():
-        budget += trace.total_thread_seconds
-        opens += trace.open_seconds
-    return opens / budget if budget > 0 else 0.0
+def cluster_fractions(report: ServiceReport) -> dict:
+    """Merge every tenant epoch trace into one attribution.
 
-
-def _gil_fraction(report: ServiceReport) -> float:
-    budget = gil = 0.0
-    for trace in report.epoch_traces():
-        budget += trace.total_thread_seconds
-        gil += trace.gil_seconds
-    return gil / budget if budget > 0 else 0.0
+    Unlike :meth:`ResourceTrace.merged` this tolerates heterogeneous
+    thread widths: each epoch contributes its own wall x threads budget.
+    """
+    return _fractions(*_thread_seconds(report))
 
 
 def diagnose_service(report: ServiceReport,
                      environment: Optional[Environment] = None,
-                     ) -> ServiceDiagnosis:
+                     ) -> Diagnosis:
     """Attribute a service run's thread-time and rank shared-resource
-    findings (highest severity first, ties broken by kind)."""
+    findings."""
     if not report.tenants:
         raise DiagnosisError("cannot diagnose an empty service report")
     environment = environment or report.environment
     storage = environment.storage
-    fractions = cluster_fractions(report)
-    findings: list[ServiceFinding] = []
+    totals, budget = _thread_seconds(report)
+    fractions = _fractions(totals, budget)
+    findings: list[Finding] = []
 
     # Scheduler queue pressure: tenants spend the service window waiting.
     if report.makespan > 0:
         queue_share = report.mean_queue_delay / report.makespan
         if queue_share > 0.15:
-            findings.append(ServiceFinding(
+            findings.append(Finding(
                 "queue-pressure", min(queue_share, 1.0),
                 f"tenants wait {queue_share:.0%} of the service window "
                 f"for one of {report.slots} slots; add slots or "
                 f"rebalance the trace"))
 
     # Metadata service saturated by tenant churn (file-per-sample jobs).
-    open_share = _open_fraction(report)
+    open_share = totals["open"] / budget if budget > 0 else 0.0
     if open_share > 0.15:
-        findings.append(ServiceFinding(
+        findings.append(Finding(
             "metadata-saturation", min(open_share * 1.5, 1.0),
             f"metadata service saturated by tenant churn: "
             f"{report.files_opened:,} opens, {open_share:.0%} of "
             f"thread-time queued on {storage.metadata_slots} MDS slots"))
 
-    # Shared read link utilisation over the whole window.
-    if report.makespan > 0:
-        link_util = (report.bytes_from_storage
-                     / (storage.aggregate_bw * report.makespan))
-        if link_util > 0.5:
-            findings.append(ServiceFinding(
-                "read-link-saturation", min(link_util, 1.0),
-                f"shared read link at {link_util:.0%} of "
-                f"{fmt_bytes(storage.aggregate_bw)}/s aggregate over the "
-                f"window; co-locate cache sharers or add bandwidth"))
+    link = read_link_finding(report, storage,
+                             "co-locate cache sharers or add bandwidth")
+    if link is not None:
+        findings.append(link)
 
     # Page-cache thrash: many tenants, evictions, low hit ratio.
     if (len(report.tenants) > 1 and report.page_cache_evictions > 0
             and report.cache_hit_ratio < 0.5):
-        findings.append(ServiceFinding(
+        findings.append(Finding(
             "cache-thrash", 0.6 - report.cache_hit_ratio / 2,
             f"shared page cache thrashes: {report.page_cache_evictions:,} "
             f"evictions, hit ratio {report.cache_hit_ratio:.0%}; the "
@@ -185,15 +202,15 @@ def diagnose_service(report: ServiceReport,
                             if job.offline is not None})
     duplicates = report.offline_runs - unique_artifacts
     if duplicates > 0:
-        findings.append(ServiceFinding(
+        findings.append(Finding(
             "duplicate-offline", min(0.2 + duplicates * 0.1, 0.9),
             f"{duplicates} duplicate offline materialisation(s) of "
             f"identical artifacts; the cache-aware policy dedupes them"))
 
     # GIL-bound tenants serialize the whole pool.
-    gil_share = _gil_fraction(report)
+    gil_share = totals["gil"] / budget if budget > 0 else 0.0
     if gil_share > 0.25:
-        findings.append(ServiceFinding(
+        findings.append(Finding(
             "gil-serialization", min(gil_share, 1.0),
             f"external (GIL-holding) steps occupy {gil_share:.0%} of "
             f"thread-time across tenants; co-scheduling GIL-bound jobs "
@@ -216,7 +233,7 @@ def diagnose_service(report: ServiceReport,
             aborted = (f", {report.transfers_aborted} in-flight "
                        f"transfer(s) aborted"
                        if report.transfers_aborted else "")
-            findings.append(ServiceFinding(
+            findings.append(Finding(
                 "brownout-detected", min(0.3 + share, 1.0),
                 f"storage tier degraded for {dark:.0f}s across "
                 f"{len(brownouts)} window(s) (worst 1/{worst:g} of "
@@ -235,7 +252,7 @@ def diagnose_service(report: ServiceReport,
             remaining = max(cores - worst_cores, 1)
             stretch = cores / remaining
             share = slow / window_span if window_span else 0.0
-            findings.append(ServiceFinding(
+            findings.append(Finding(
                 "straggler-detected", min(0.25 + share, 1.0),
                 f"straggling worker(s) park up to {worst_cores} of "
                 f"{cores} cores for {slow:.0f}s; CPU-bound epochs "
@@ -248,7 +265,7 @@ def diagnose_service(report: ServiceReport,
             degraded = sum(event.end - event.start for event in slowdowns)
             worst = max(event.magnitude for event in slowdowns)
             share = degraded / window_span if window_span else 0.0
-            findings.append(ServiceFinding(
+            findings.append(Finding(
                 "device-degraded", min(0.2 + share, 1.0),
                 f"read-link device degraded for {degraded:.0f}s "
                 f"(worst 1/{worst:g} of nominal bandwidth); I/O-bound "
@@ -257,12 +274,19 @@ def diagnose_service(report: ServiceReport,
 
     # CPU pool oversubscription.
     if fractions["cpu"] > 0.5 and len(report.tenants) > report.slots:
-        findings.append(ServiceFinding(
+        findings.append(Finding(
             "cpu-pool-saturation", fractions["cpu"],
             f"CPU pool is the binding resource ({fractions['cpu']:.0%} "
             f"of thread-time) with {len(report.tenants)} tenants on "
             f"{environment.cores} cores; scale cores before slots"))
 
-    findings.sort(key=lambda finding: (-finding.severity, finding.kind))
-    return ServiceDiagnosis(policy=report.policy, fractions=fractions,
-                            findings=findings)
+    dominant = max(fractions, key=fractions.get)
+    shares = ", ".join(f"{name} {value:.0%}"
+                       for name, value in fractions.items())
+    return Diagnosis(
+        header=(f"cluster diagnosis [{report.policy}]: bound on "
+                f"{dominant} ({shares})"),
+        empty_note="(no cluster-level pressure detected)",
+        findings=findings,
+        summary={"doctor": "service", "policy": report.policy,
+                 "dominant": dominant, "fractions": dict(fractions)})

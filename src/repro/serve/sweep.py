@@ -1,13 +1,9 @@
 """Policy sweeps: one trace, every scheduler, side by side.
 
-Reuses the exec layer's executor abstraction
-(:func:`repro.exec.executors.resolve_executor`) so policy runs fan out
-exactly like profiling jobs do, with results always in submission
-order, so a concurrent sweep renders byte-identically to a serial one.
-Note the executor is a *determinism* lever, not a speed lever: service
-reports carry live plans (step lambdas) that cannot pickle back from a
-process pool, so process specs are downgraded to a thread pool -- and
-the DES is pure Python, so threads serialize on the GIL anyway.
+Policies run one after another in ``policies`` order.  A pool would buy
+no speed: service reports carry live plans (step lambdas) that cannot
+pickle back from a process pool, and threads serialize the pure-Python
+DES on the GIL.
 """
 
 from __future__ import annotations
@@ -17,30 +13,10 @@ from typing import Optional, Sequence
 
 from repro.backends.base import Environment
 from repro.core.frame import Frame
-from repro.exec.executors import (ExecutorSpec, ProcessExecutor,
-                                  ThreadExecutor, resolve_executor)
-from repro.serve.doctor import diagnose_service
+from repro.serve.doctor import cluster_fractions
 from repro.serve.jobs import JobSpec
 from repro.serve.policies import POLICY_NAMES
 from repro.serve.service import PreprocessingService, ServiceReport
-
-
-@dataclass(frozen=True)
-class _PolicyPayload:
-    """One policy run, picklable for process pools."""
-
-    policy: str
-    jobs: tuple
-    slots: int
-    environment: Optional[Environment]
-    tie_break: Optional[str] = None
-
-
-def _run_policy(payload: _PolicyPayload) -> ServiceReport:
-    service = PreprocessingService(
-        policy=payload.policy, slots=payload.slots,
-        environment=payload.environment, tie_break=payload.tie_break)
-    return service.run(list(payload.jobs))
 
 
 @dataclass
@@ -59,7 +35,7 @@ class PolicySweepResult:
         """One comparison row per policy."""
         records = []
         for report in self.reports:
-            diagnosis = diagnose_service(report)
+            fractions = cluster_fractions(report)
             records.append({
                 "policy": report.policy,
                 "makespan_s": report.makespan,
@@ -70,7 +46,7 @@ class PolicySweepResult:
                 "offline_runs": report.offline_runs,
                 "deduped": report.offline_deduped,
                 "slo_viol": report.total_slo_violations,
-                "bound": diagnosis.dominant,
+                "bound": max(fractions, key=fractions.get),
             })
         return Frame.from_records(records)
 
@@ -84,18 +60,10 @@ def sweep_policies(jobs: Sequence[JobSpec],
                    policies: Sequence[str] = POLICY_NAMES,
                    slots: int = 2,
                    environment: Optional[Environment] = None,
-                   executor: ExecutorSpec = None,
                    tie_break: Optional[str] = None) -> PolicySweepResult:
     """Run ``jobs`` under every policy; results in ``policies`` order."""
-    payloads = [_PolicyPayload(policy=policy, jobs=tuple(jobs),
-                               slots=slots, environment=environment,
-                               tie_break=tie_break)
-                for policy in policies]
-    resolved = resolve_executor(executor)
-    if isinstance(resolved, ProcessExecutor):
-        # Service reports carry live plans (step lambdas) and do not
-        # pickle back across process boundaries; run on threads instead,
-        # exactly like the sweep engine downgrades non-portable jobs.
-        resolved = ThreadExecutor(resolved.jobs)
-    reports = resolved.map(_run_policy, payloads)
-    return PolicySweepResult(reports=list(reports))
+    return PolicySweepResult(reports=[
+        PreprocessingService(policy=policy, slots=slots,
+                             environment=environment,
+                             tie_break=tie_break).run(list(jobs))
+        for policy in policies])

@@ -17,8 +17,7 @@ Quickstart::
 CLI surface: ``presto stream --tenants 4 --arrival burst --seed 0``.
 """
 
-from repro.stream.doctor import (StreamDiagnosis, StreamFinding,
-                                 diagnose_stream)
+from repro.stream.doctor import diagnose_stream
 from repro.stream.engine import StreamingService
 from repro.stream.report import (RequestLog, RequestRecord, StreamReport,
                                  TenantStreamResult)
@@ -32,8 +31,6 @@ __all__ = [
     "RequestLog",
     "RequestPlan",
     "RequestRecord",
-    "StreamDiagnosis",
-    "StreamFinding",
     "StreamReport",
     "StreamTenantSpec",
     "StreamingService",

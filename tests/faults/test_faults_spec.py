@@ -164,3 +164,18 @@ class TestCliParser:
     def test_bad_value_rejected(self):
         with pytest.raises(ReproError, match="stragglers"):
             _parse_faults("stragglers=two")
+
+    @pytest.mark.parametrize("text", [
+        "stragglers=1,stragglers=2",
+        "crash-windows=1,crash_windows=1",
+        "shed-slo=on,severity=2,shed_slo=off",
+    ])
+    def test_repeated_key_rejected(self, text):
+        with pytest.raises(ReproError, match="duplicate"):
+            _parse_faults(text)
+
+    @pytest.mark.parametrize("command", ["ctl", "stream"])
+    def test_repeated_key_exits_2(self, command, capsys):
+        assert main([command, "--faults", "stragglers=1,stragglers=2"]) == 2
+        assert "duplicate --faults key 'stragglers'" in \
+            capsys.readouterr().err

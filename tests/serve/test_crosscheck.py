@@ -70,10 +70,3 @@ class TestPolicyOrdering:
         assert frame["policy"] == ["fifo", "fair-share", "cache-aware"]
         assert {"aggregate_sps", "p99_epoch_s", "deduped",
                 "bound"} <= set(frame.columns)
-
-    def test_parallel_sweep_matches_serial(self):
-        trace = bursty_trace(tenants=4, seed=2)
-        serial = sweep_policies(trace, slots=2, executor=None)
-        threaded = sweep_policies(trace, slots=2, executor="thread")
-        assert (serial.frame().to_markdown()
-                == threaded.frame().to_markdown())

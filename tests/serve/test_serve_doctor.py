@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.diagnosis import BottleneckDoctor
 from repro.errors import DiagnosisError
 from repro.serve import (JobSpec, PreprocessingService, bursty_trace,
                          diagnose_service)
-from repro.serve.doctor import ServiceDiagnosis, cluster_fractions
+from repro.serve.doctor import Diagnosis, cluster_fractions
 from repro.serve.service import ServiceReport
 
 
@@ -36,7 +35,7 @@ class TestClusterFractions:
 class TestDiagnoseService:
     def test_findings_ranked_by_severity(self, contended_reports):
         diagnosis = diagnose_service(contended_reports["fifo"])
-        assert isinstance(diagnosis, ServiceDiagnosis)
+        assert isinstance(diagnosis, Diagnosis)
         severities = [finding.severity for finding in diagnosis.findings]
         assert severities == sorted(severities, reverse=True)
         assert diagnosis.top_finding is diagnosis.findings[0]
@@ -72,17 +71,6 @@ class TestDiagnoseService:
         kinds = {finding.kind
                  for finding in diagnose_service(report).findings}
         assert "queue-pressure" in kinds
-
-
-class TestBottleneckDoctorIntegration:
-    def test_doctor_delegates_to_the_serve_layer(self, contended_reports):
-        doctor = BottleneckDoctor()
-        diagnosis = doctor.diagnose_service(contended_reports["fifo"])
-        reference = diagnose_service(contended_reports["fifo"])
-        assert diagnosis.policy == reference.policy
-        assert diagnosis.fractions == reference.fractions
-        assert [finding.kind for finding in diagnosis.findings] == \
-            [finding.kind for finding in reference.findings]
 
 
 class TestFaultFindings:

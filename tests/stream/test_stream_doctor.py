@@ -4,8 +4,7 @@ import pytest
 
 from repro.backends.base import Environment
 from repro.errors import DiagnosisError
-from repro.stream import (StreamTenantSpec, StreamingService,
-                          diagnose_stream)
+from repro.stream import StreamTenantSpec, diagnose_stream
 from repro.stream.doctor import MISS_THRESHOLD
 from repro.stream.report import (RequestLog, RequestRecord, StreamReport,
                                  TenantStreamResult)
@@ -106,17 +105,3 @@ class TestFindings:
         text = diagnosis.to_markdown()
         assert text.startswith("stream diagnosis:")
         assert "predicted p99 ~" in text
-
-
-class TestDoctorIntegration:
-    def test_bottleneck_doctor_delegates(self):
-        from repro.diagnosis.doctor import BottleneckDoctor
-        report = StreamingService().run([StreamTenantSpec(
-            tenant="t0", pipeline="MP3", split="decoded",
-            arrival="burst", rate=50.0, requests=8, batch=4, workers=1,
-            slo_stretch=1e-6)])
-        diagnosis = BottleneckDoctor().diagnose_stream(report)
-        assert diagnosis.miss_fraction == 1.0
-        assert diagnosis.findings
-        assert diagnosis.to_markdown() == diagnose_stream(
-            report).to_markdown()

@@ -51,18 +51,28 @@ def test_cli_and_linter_run_without_numpy():
 
 
 def test_serve_simulation_loads_no_array_or_pool_modules():
+    """Nor the analytic doctor package: both run doctors render from
+    :mod:`repro.serve.doctor` alone."""
     proc = _python("""
         import sys
         from repro.core.report import service_summary, tenant_table
         from repro.ctl import Dispatcher
-        from repro.serve import PreprocessingService, bursty_trace
-        from repro.stream import StreamingService
+        from repro.serve import (PreprocessingService, bursty_trace,
+                                 diagnose_service)
+        from repro.stream import (StreamingService, diagnose_stream,
+                                  generate_stream)
         report = PreprocessingService(policy="cache-aware", slots=2).run(
             bursty_trace(tenants=3, seed=0))
         text = tenant_table(report).to_markdown() + service_summary(report)
-        assert "cache-aware" in text
+        text += diagnose_service(report).to_markdown()
+        assert "cluster diagnosis [cache-aware]" in text
+        streams = generate_stream(tenants=2, seed=0, requests=8)
+        text = diagnose_stream(StreamingService().run(streams, seed=0)
+                               ).to_markdown()
+        assert text.startswith("stream diagnosis:")
         print(sorted(name for name in ("numpy", "multiprocessing",
-                                       "concurrent.futures")
+                                       "concurrent.futures",
+                                       "repro.diagnosis")
                      if name in sys.modules))
         """)
     assert proc.returncode == 0, proc.stderr
