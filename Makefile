@@ -5,7 +5,7 @@
 #   make sweep         full-catalog profile of the seven paper pipelines
 #   make golden        regenerate the golden CLI outputs (eyeball the diff!)
 #   make coverage      line-coverage floors (diagnosis + serve + api +
-#                      ctl + stream + obs + faults)
+#                      ctl + stream + obs + faults + lint)
 #   make lint          simlint static analysis over src/ tools/
 #                      benchmarks/ (DES discipline; docs/lint.md)
 #   make typecheck     pinned mypy pass over the starter subset

@@ -78,7 +78,7 @@ def resolve_strategy_name(pipeline_name: str,
 def resolve_storage(name: str):
     """Look up a storage :class:`~repro.sim.storage.DeviceProfile`."""
     from repro.sim.storage import DEVICE_PROFILES
-    if name not in DEVICE_PROFILES:
+    if not isinstance(name, str) or name not in DEVICE_PROFILES:
         raise _unknown("storage device", name, DEVICE_PROFILES,
                        plural="storage devices")
     return DEVICE_PROFILES[name]

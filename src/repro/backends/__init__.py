@@ -5,7 +5,7 @@ given a :class:`~repro.pipelines.base.SplitPlan` and a
 :class:`~repro.backends.base.RunConfig`, produce a
 :class:`~repro.backends.base.StrategyRunResult` with the paper's three key
 metrics -- preprocessing time, storage consumption, throughput -- plus
-dstat-style counters.
+byte and page-cache counters.
 
 * :class:`~repro.backends.simulated.SimulatedBackend` -- deterministic
   discrete-event execution at full dataset scale (regenerates the paper).

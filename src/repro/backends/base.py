@@ -29,12 +29,6 @@ class Environment:
     memory_bw: float = cal.MEMORY_BW
     memory_stream_bw: float = cal.MEMORY_STREAM_BW
 
-    def renamed_storage(self, profile: DeviceProfile) -> "Environment":
-        return Environment(storage=profile, cores=self.cores,
-                           ram_bytes=self.ram_bytes,
-                           memory_bw=self.memory_bw,
-                           memory_stream_bw=self.memory_stream_bw)
-
 
 @dataclass(frozen=True)
 class RunConfig:

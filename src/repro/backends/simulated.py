@@ -34,7 +34,6 @@ from repro.pipelines.base import Representation, SplitPlan
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation, Timeout, all_of
-from repro.sim.resources import HoldRequest
 from repro.sim.trace import ResourceTrace
 
 
@@ -187,7 +186,6 @@ def batch_body(sim: Simulation, machine: Machine, cluster: StorageCluster,
             if page_cache.lookup(chunk_key):
                 counters.cache_hits += 1
                 counters.bytes_from_cache += disk_bytes
-                cluster.cache_bytes_read += disk_bytes
                 bracket = sim._now
                 yield memory_link.transfer(disk_bytes)
                 if trace is not None:
@@ -200,6 +198,7 @@ def batch_body(sim: Simulation, machine: Machine, cluster: StorageCluster,
                 counters.cache_misses += 1
                 counters.bytes_from_storage += disk_bytes
                 if opens > 0:
+                    cluster.files_opened += opens
                     bracket = sim._now
                     yield metadata.held_for(opens * open_latency * open_factor)
                     if trace is not None:
@@ -216,16 +215,12 @@ def batch_body(sim: Simulation, machine: Machine, cluster: StorageCluster,
             yield Timeout(sim, k * overhead_ps)
             if decompress_bw is not None:
                 bracket = sim._now
-                seconds = k * stored_bytes_ps_raw / decompress_bw
-                machine.cpu_busy_seconds += seconds
-                yield cores.held_for(seconds)
+                yield cores.held_for(k * stored_bytes_ps_raw / decompress_bw)
                 if trace is not None:
                     trace.decode_seconds += sim._now - bracket
             if deser_ps is not None:
                 bracket = sim._now
-                seconds = k * deser_ps
-                machine.cpu_busy_seconds += seconds
-                yield cores.held_for(seconds)
+                yield cores.held_for(k * deser_ps)
                 if trace is not None:
                     trace.decode_seconds += sim._now - bracket
             for holds_gil, cpu_seconds in online_charges:
@@ -235,15 +230,12 @@ def batch_body(sim: Simulation, machine: Machine, cluster: StorageCluster,
                     if trace is not None:
                         trace.gil_seconds += sim._now - bracket
                 else:
-                    machine.cpu_busy_seconds += k * cpu_seconds
                     yield cores.held_for(k * cpu_seconds)
                     if trace is not None:
                         trace.cpu_seconds += sim._now - bracket
             if shuffle:
                 bracket = sim._now
-                seconds = k * shuffle_ps
-                machine.cpu_busy_seconds += seconds
-                yield cores.held_for(seconds)
+                yield cores.held_for(k * shuffle_ps)
                 if trace is not None:
                     trace.shuffle_seconds += sim._now - bracket
             if populate_app_cache:
@@ -407,16 +399,12 @@ class SimulatedBackend:
         gil = machine.gil
         cores = machine.cores
 
-        def native(cpu_seconds: float) -> HoldRequest:
-            """``machine.compute_native`` without its generator frame."""
-            machine.cpu_busy_seconds += cpu_seconds
-            return cores.held_for(cpu_seconds)
-
         def worker(jobs: list[_JobPlan]) -> Generator[object, None, None]:
             for job in jobs:
                 k = job.samples
                 opens = opens_per_sample * k
                 if opens > 0:
+                    cluster.files_opened += opens
                     yield metadata.held_for(opens * open_latency)
                 read_bytes = k * source_bytes_ps
                 counters["read"] += read_bytes
@@ -424,16 +412,16 @@ class SimulatedBackend:
                 yield Timeout(sim, k * overhead_ps)
                 for holds_gil, cpu_seconds in offline_charges:
                     if holds_gil:
-                        # Convoy per sample, as gil.hold_scaled.
+                        # Convoy per sample (see Lock.held_for).
                         yield gil.held_for(cpu_seconds, k)
                     else:
-                        yield native(k * cpu_seconds)
+                        yield cores.held_for(k * cpu_seconds)
                 # Serialize the materialised records.
-                yield native(k * serialize_ps)
+                yield cores.held_for(k * serialize_ps)
                 if compress_bw is not None:
                     compress_seconds = k * out_bytes_ps / compress_bw
                     counters["compress"] += compress_seconds
-                    yield native(compress_seconds)
+                    yield cores.held_for(compress_seconds)
                 write_bytes = k * stored_bytes_ps
                 counters["write"] += write_bytes
                 yield write_link.transfer(write_bytes, link_tag)
@@ -557,7 +545,6 @@ class SimulatedBackend:
                         yield gil.held_for(cpu_seconds, k)
                         trace.gil_seconds += sim._now - bracket
                     else:
-                        machine.cpu_busy_seconds += k * cpu_seconds
                         yield cores.held_for(k * cpu_seconds)
                         trace.cpu_seconds += sim._now - bracket
                 bracket = sim._now

@@ -8,7 +8,7 @@ Strategy Optimizer.  The central objects are:
   sharding).
 * :class:`repro.core.profiler.StrategyProfiler` -- runs strategies on a
   backend and collects the three key metrics (preprocessing time, storage
-  consumption, throughput) plus dstat counters.  Execution is delegated
+  consumption, throughput).  Execution is delegated
   to the parallel, memoizing :class:`repro.exec.engine.SweepEngine`.
 * :class:`repro.core.analysis.StrategyAnalysis` -- normalizes the metrics
   and ranks strategies with the user-weighted objective function of

@@ -17,26 +17,11 @@ unprocessed strategy starts training instantly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.frame import Frame
 from repro.core.profiler import StrategyProfile
 from repro.errors import ProfilingError
-
-
-@dataclass(frozen=True)
-class AmortizationPoint:
-    """One strategy's total time at a given epoch horizon."""
-
-    strategy: str
-    epochs: int
-    offline_seconds: float
-    per_epoch_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.offline_seconds + self.epochs * self.per_epoch_seconds
 
 
 def _per_epoch_seconds(profile: StrategyProfile) -> float:

@@ -23,9 +23,10 @@ replay does not:
   scheduler policy's ``preempt`` hook may pick a running victim; it is
   interrupted at its next epoch boundary, requeued, and later resumes
   from the interrupted epoch (the offline artifact is not redone).
-* **autoscaling** -- a periodic control loop diagnoses the live run
-  with ``serve.doctor`` and grows the slot pool under queue pressure
-  (up to ``max_slots``) or shrinks it when capacity idles.
+* **autoscaling** -- a periodic control loop tests the live run for
+  the doctor's queue pressure (``serve.doctor.queue_pressure``) and
+  grows the slot pool under it (up to ``max_slots``) or shrinks it
+  when capacity idles.
 
 Everything runs co-simulated on the DES kernel: given one seed the
 ledger, the report and the event count are bit-identical across runs.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 from repro.errors import ControlError, InjectedFaultError, SimulationError
 from repro.faults.gate import slo_shed_decision
-from repro.serve.doctor import diagnose_service
+from repro.serve.doctor import queue_pressure
 from repro.serve.jobs import JobSpec
 from repro.serve.service import (PreprocessingService, ServiceState,
                                  TenantJob)
@@ -565,24 +566,15 @@ class Dispatcher(PreprocessingService):
 
     def _autoscale_tick(self) -> None:
         config = self.autoscale
-        kinds = self._finding_kinds()
-        pressure = ("queue-pressure" in kinds
+        granted = [record.job for record in self._records.values()
+                   if record.job.granted is not None]
+        pressure = (queue_pressure(granted, self._sim.now) is not None
                     or len(self._queue) >= max(self.slots, 1))
         if pressure and self.slots < config.max_slots:
             self._set_slots(self.slots + 1, "queue-pressure")
         elif (not pressure and not self._queue and self._free_slots > 0
               and self.slots > config.min_slots):
             self._set_slots(self.slots - 1, "idle-capacity")
-
-    def _finding_kinds(self) -> set:
-        """Doctor findings over the live (partial) run."""
-        sampled = [record.job for record in self._records.values()
-                   if record.job.granted is not None]
-        if not sampled:
-            return set()
-        interim = self._report(sampled, makespan=self._sim.now)
-        diagnosis = diagnose_service(interim, self.environment)
-        return {finding.kind for finding in diagnosis.findings}
 
     def _set_slots(self, new_slots: int, reason: str) -> None:
         old = self.slots

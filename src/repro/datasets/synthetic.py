@@ -146,10 +146,6 @@ class SyntheticSource:
             rng = np.random.default_rng((self.seed, index))
             yield make(rng)
 
-    def sample_rates(self) -> int:
-        """Audio decode rate for this pipeline's waveforms (Hz)."""
-        return SMALL_AUDIO_RATE
-
 
 def supported_pipelines() -> list[str]:
     return sorted(_GENERATORS)

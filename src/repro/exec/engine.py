@@ -38,7 +38,7 @@ from repro.core.strategy import Strategy, strategies_for
 from repro.errors import SweepError
 from repro.exec.cache import ProfileCache
 from repro.exec.events import (CACHE_HIT, JOB_DONE, SWEEP_END, SWEEP_START,
-                               ProgressPrinter, SweepEvent, SweepListener)
+                               SweepEvent, SweepListener)
 from repro.exec.executors import (ExecutorSpec, ProcessExecutor,
                                   ThreadExecutor, resolve_executor)
 from repro.exec.fingerprint import describe_pipeline, job_fingerprint
@@ -135,11 +135,6 @@ class SweepEngine:
 
     def add_listener(self, listener: SweepListener) -> None:
         self.listeners.append(listener)
-
-    def add_progress(self, stream=None) -> None:
-        """Attach the stock progress printer (stderr by default)."""
-        self.listeners.append(ProgressPrinter(stream)
-                              if stream is not None else ProgressPrinter())
 
     def _emit(self, event: SweepEvent) -> None:
         for listener in self.listeners:

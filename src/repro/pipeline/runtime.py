@@ -179,9 +179,6 @@ class GraphExecutor:
             if isinstance(node, n.CacheNode):
                 self._cache_states[id(node)] = _CacheState()
 
-    def cache_state(self, node: n.CacheNode) -> _CacheState:
-        return self._cache_states[id(node)]
-
     def iterator(self) -> Iterator[Any]:
         iterator: Iterator[Any] | None = None
         for node in self.sink.chain():

@@ -26,7 +26,7 @@ from typing import Optional
 from repro.backends.base import Environment
 from repro.errors import DiagnosisError
 from repro.serve.service import ServiceReport
-from repro.sim.trace import TRACE_CATEGORIES
+from repro.sim.trace import TRACE_CATEGORIES, ResourceTrace
 from repro.units import fmt_bytes, fmt_duration
 
 
@@ -115,40 +115,46 @@ def read_link_finding(report, storage, advice: str,
     return None
 
 
-def _thread_seconds(report: ServiceReport) -> tuple:
-    """Per-category thread-seconds summed over every tenant epoch, and
-    the wall x threads budget they share (one pass, trace order)."""
-    totals = {category: 0.0 for category in TRACE_CATEGORIES}
-    budget = 0.0
+def _cluster_trace(report: ServiceReport) -> ResourceTrace:
+    """Every tenant epoch's thread-seconds summed into one one-thread
+    trace whose duration is the summed wall x threads budget (one pass,
+    trace order).
+
+    Unlike :meth:`ResourceTrace.merged` this tolerates heterogeneous
+    thread widths: each epoch contributes its own budget.
+    """
+    cluster = ResourceTrace()
     for trace in report.epoch_traces():
-        budget += trace.total_thread_seconds
+        cluster.duration += trace.total_thread_seconds
         for category in TRACE_CATEGORIES:
-            totals[category] += getattr(trace, f"{category}_seconds")
-    return totals, budget
-
-
-def _fractions(totals: dict, budget: float) -> dict:
-    if budget <= 0:
-        return {"cpu": 0.0, "storage": 0.0, "decode": 0.0, "stall": 1.0}
-    cpu = (totals["cpu"] + totals["gil"]) / budget
-    storage = (totals["open"] + totals["read"] + totals["memory"]) / budget
-    decode = totals["decode"] / budget
-    accounted = cpu + storage + decode
-    if accounted > 1.0:
-        cpu, storage, decode = (value / accounted
-                                for value in (cpu, storage, decode))
-        accounted = 1.0
-    return {"cpu": cpu, "storage": storage, "decode": decode,
-            "stall": 1.0 - accounted}
+            field = f"{category}_seconds"
+            setattr(cluster, field,
+                    getattr(cluster, field) + getattr(trace, field))
+    return cluster
 
 
 def cluster_fractions(report: ServiceReport) -> dict:
-    """Merge every tenant epoch trace into one attribution.
+    """Merge every tenant epoch trace into one attribution."""
+    return _cluster_trace(report).fractions()
 
-    Unlike :meth:`ResourceTrace.merged` this tolerates heterogeneous
-    thread widths: each epoch contributes its own wall x threads budget.
+
+#: Mean queue delay, as a share of the service window, above which
+#: tenants are starved of slots.
+QUEUE_PRESSURE_SHARE = 0.15
+
+
+def queue_pressure(jobs, window: float) -> Optional[float]:
+    """The mean slot-queue delay of ``jobs`` as a share of ``window``
+    when it passes :data:`QUEUE_PRESSURE_SHARE`, else ``None``.
+
+    The doctor's ``queue-pressure`` finding and the control plane's
+    autoscaler both decide with this one expression.
     """
-    return _fractions(*_thread_seconds(report))
+    if window > 0 and jobs:
+        share = sum(job.queue_delay for job in jobs) / len(jobs) / window
+        if share > QUEUE_PRESSURE_SHARE:
+            return share
+    return None
 
 
 def diagnose_service(report: ServiceReport,
@@ -160,22 +166,22 @@ def diagnose_service(report: ServiceReport,
         raise DiagnosisError("cannot diagnose an empty service report")
     environment = environment or report.environment
     storage = environment.storage
-    totals, budget = _thread_seconds(report)
-    fractions = _fractions(totals, budget)
+    cluster = _cluster_trace(report)
+    budget = cluster.duration
+    fractions = cluster.fractions()
     findings: list[Finding] = []
 
     # Scheduler queue pressure: tenants spend the service window waiting.
-    if report.makespan > 0:
-        queue_share = report.mean_queue_delay / report.makespan
-        if queue_share > 0.15:
-            findings.append(Finding(
-                "queue-pressure", min(queue_share, 1.0),
-                f"tenants wait {queue_share:.0%} of the service window "
-                f"for one of {report.slots} slots; add slots or "
-                f"rebalance the trace"))
+    queue_share = queue_pressure(report.tenants, report.makespan)
+    if queue_share is not None:
+        findings.append(Finding(
+            "queue-pressure", min(queue_share, 1.0),
+            f"tenants wait {queue_share:.0%} of the service window "
+            f"for one of {report.slots} slots; add slots or "
+            f"rebalance the trace"))
 
     # Metadata service saturated by tenant churn (file-per-sample jobs).
-    open_share = totals["open"] / budget if budget > 0 else 0.0
+    open_share = cluster.open_seconds / budget if budget > 0 else 0.0
     if open_share > 0.15:
         findings.append(Finding(
             "metadata-saturation", min(open_share * 1.5, 1.0),
@@ -208,7 +214,7 @@ def diagnose_service(report: ServiceReport,
             f"identical artifacts; the cache-aware policy dedupes them"))
 
     # GIL-bound tenants serialize the whole pool.
-    gil_share = totals["gil"] / budget if budget > 0 else 0.0
+    gil_share = cluster.gil_seconds / budget if budget > 0 else 0.0
     if gil_share > 0.25:
         findings.append(Finding(
             "gil-serialization", min(gil_share, 1.0),

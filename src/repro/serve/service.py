@@ -568,16 +568,13 @@ class PreprocessingService:
 
     # -- reporting -----------------------------------------------------------
 
-    def _report(self, jobs: list[TenantJob],
-                makespan: Optional[float] = None) -> ServiceReport:
-        """The service report over ``jobs``; ``makespan`` defaults to the
-        last job's finish (the control plane's autoscaler passes the
-        current instant to diagnose a run in flight)."""
-        if makespan is None:
-            makespan = max(job.finished for job in jobs)
+    def _report(self, jobs: list[TenantJob]) -> ServiceReport:
+        """The service report over ``jobs``, whose window ends at the
+        last job's finish."""
         report = ServiceReport(
             policy=self.policy.name, slots=self.slots,
-            environment=self.environment, tenants=jobs, makespan=makespan,
+            environment=self.environment, tenants=jobs,
+            makespan=max(job.finished for job in jobs),
             offline_runs=sum(1 for job in jobs
                              if job.offline is not None),
             offline_deduped=sum(1 for job in jobs if job.offline_shared),
@@ -588,7 +585,7 @@ class PreprocessingService:
                 epoch.bytes_from_cache
                 for job in jobs for epoch in job.epochs),
             bytes_written=self._cluster.bytes_written,
-            files_opened=self._cluster.files_opened,
+            files_opened=round(self._cluster.files_opened),
             metadata_peak_in_use=self._cluster.metadata.peak_in_use,
             page_cache_evictions=self._machine.page_cache.evictions,
         )

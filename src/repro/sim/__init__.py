@@ -14,7 +14,6 @@ deterministic discrete-event simulation:
 * :mod:`repro.sim.cpu` -- cores, the GIL and the serialized dispatch lock.
 * :mod:`repro.sim.fio` / :mod:`repro.sim.sysbench` -- probe tools mirroring
   the paper's Table 3 and memory-bandwidth measurements.
-* :mod:`repro.sim.dstat` -- time-series counters captured during runs.
 * :mod:`repro.sim.trace` -- unified per-epoch resource traces (elapsed
   thread-time attribution consumed by :mod:`repro.diagnosis`).
 """

@@ -206,14 +206,6 @@ class SharedBandwidth:
             self._arm_wake()
         return event
 
-    def transfer_time(self, nbytes: float, n_streams: int = 1) -> float:
-        """Analytic helper: seconds to move ``nbytes`` on one of
-        ``n_streams`` equally-loaded streams (no event machinery)."""
-        rate = self.stream_rate(n_streams)
-        if rate <= 0:
-            raise SimulationError("no capacity available")
-        return nbytes / rate
-
     # -- degradation (chaos engine) -----------------------------------------
 
     def set_capacity(self, aggregate_bw: Optional[float] = None,

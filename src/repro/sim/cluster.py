@@ -1,19 +1,17 @@
 """The Ceph-like object store.
 
 A :class:`StorageCluster` combines a :class:`DeviceProfile` with shared
-read/write links and a metadata service.  Reads and writes are simulation
-processes (generators to ``yield from`` inside a process):
+read/write links and a metadata service.  ``read()`` is a simulation
+process (a generator to ``yield from`` inside a process): it optionally
+pays a per-file open (metadata slot + latency), then streams bytes over
+the max-min-fair read link.  If a
+:class:`~repro.sim.pagecache.PageCache` is supplied, hits are served
+from memory instead and misses populate the cache.  The simulated
+backend's batch body holds the same resources directly.
 
-* ``read()`` -- optionally pays a per-file open (metadata slot + latency),
-  then streams bytes over the max-min-fair read link.  If a
-  :class:`~repro.sim.pagecache.PageCache` is supplied, hits are served from
-  memory instead and misses populate the cache.
-* ``write()`` -- streams bytes over the write link.
-
-The cluster does not store payloads -- only the byte accounting matters for
-throughput -- but it tracks cumulative counters that
-:class:`~repro.sim.dstat.Dstat` turns into the paper's "network reads in
-MB/s" columns.
+The cluster does not store payloads -- only the byte accounting matters
+for throughput -- but its links count the bytes they moved and
+``files_opened`` counts metadata opens.
 """
 
 from __future__ import annotations
@@ -45,19 +43,11 @@ class StorageCluster:
                                  name=f"{profile.name}-mds")
         #: Client-side memory path used to serve page-cache hits.
         self.memory_link = memory_link
-        # Counters.
-        self.files_opened = 0
-        self.cache_bytes_read = 0.0
+        #: File opens charged to the metadata service (fractional for
+        #: container sources, which pay a pro-rated open per sample).
+        self.files_opened = 0.0
 
     # -- read path ------------------------------------------------------------
-
-    def open_file(self, pipeline_path: bool = True
-                  ) -> Generator[Event, None, None]:
-        """Pay the per-file open cost through the metadata service."""
-        latency = (self.profile.pipeline_open_latency if pipeline_path
-                   else self.profile.open_latency)
-        self.files_opened += 1
-        yield from self.metadata.use(latency)
 
     def read(self, key: Hashable, nbytes: float,
              page_cache: Optional[PageCache] = None,
@@ -73,26 +63,18 @@ class StorageCluster:
         backend's hot loops do.
         """
         if page_cache is not None and page_cache.lookup(key):
-            self.cache_bytes_read += nbytes
             if self.memory_link is not None:
                 yield self.memory_link.transfer(nbytes)
             return "cache"
         if open_file:
-            # Inlined open_file (one generator frame on the read path).
             latency = (self.profile.pipeline_open_latency if pipeline_path
                        else self.profile.open_latency)
             self.files_opened += 1
-            yield from self.metadata.use(latency)
+            yield self.metadata.held_for(latency)
         yield self.read_link.transfer(nbytes)
         if page_cache is not None:
             page_cache.insert(key, nbytes)
         return "storage"
-
-    # -- write path ------------------------------------------------------------
-
-    def write(self, nbytes: float) -> Generator[Event, None, None]:
-        """Stream ``nbytes`` to the cluster."""
-        yield self.write_link.transfer(nbytes)
 
     # -- accounting -----------------------------------------------------------
 

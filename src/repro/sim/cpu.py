@@ -18,12 +18,12 @@ experimental VM (8 VCPUs, 80 GB RAM):
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.sim.bandwidth import SharedBandwidth
-from repro.sim.events import Event, Simulation
+from repro.sim.events import Simulation
 from repro.sim.pagecache import PageCache
-from repro.sim.resources import HoldRequest, Lock, Resource
+from repro.sim.resources import Lock, Resource
 from repro.units import GB, US
 
 
@@ -54,42 +54,6 @@ class Machine:
             # the paper's "fits under 80 GB" threshold intact.
             page_cache_bytes = 0.94 * ram_bytes
         self.page_cache = PageCache(page_cache_bytes)
-        # Counters.
-        self.cpu_busy_seconds = 0.0
-        self.gil_busy_seconds = 0.0
-
-    # -- execution helpers -----------------------------------------------------
-
-    def compute_native(self, cpu_seconds: float
-                       ) -> Generator[HoldRequest, None, None]:
-        """Run framework-native work: occupies one core, scales with cores."""
-        if cpu_seconds <= 0:
-            return
-        self.cpu_busy_seconds += cpu_seconds
-        yield self.cores.held_for(cpu_seconds)
-
-    def compute_external(self, cpu_seconds: float
-                         ) -> Generator[HoldRequest, None, None]:
-        """Run external-library work: holds the GIL, serializing all threads.
-
-        The convoy overhead grows with the number of blocked threads, so
-        adding threads to GIL-bound work *slows it down* -- the paper's
-        "inefficient preprocessing" observation (Sec. 4.4 obs. 2).
-        """
-        if cpu_seconds <= 0:
-            return
-        self.gil_busy_seconds += cpu_seconds
-        yield self.gil.held_for(cpu_seconds)
-
-    def dispatch_samples(self, n_samples: float, per_sample_cost: Optional[
-            float] = None) -> Generator[HoldRequest, None, None]:
-        """Hand ``n_samples`` results across the serialized dispatch lock."""
-        cost = self.dispatch_cost if per_sample_cost is None else per_sample_cost
-        yield self.dispatch.held_for(n_samples * cost)
-
-    def read_memory(self, nbytes: float) -> Generator[Event, None, None]:
-        """Move bytes over the memory bus (app-cache and page-cache hits)."""
-        yield self.memory_link.transfer(nbytes)
 
     def drop_page_cache(self) -> None:
         """The paper drops the page cache between repetitions."""

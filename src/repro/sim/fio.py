@@ -55,11 +55,6 @@ class FioResult:
     latency_low: float
     latency_high: float
 
-    @property
-    def files_per_second(self) -> float:
-        total_files = self.workload.threads * self.workload.files_per_thread
-        return total_files / self.duration
-
 
 #: The paper's Table 3 workloads: 5 GB sequential vs 5000 x 0.2 MB random.
 TABLE3_WORKLOADS = (

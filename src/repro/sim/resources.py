@@ -14,14 +14,14 @@ A process holds either one for a fixed time by yielding the request
 :meth:`Resource.held_for` (or :meth:`Lock.held_for`) builds; the kernel
 then grants, holds and releases the slot without a generator resume or
 an event allocation in between (see :class:`repro.sim.events.Process`).
-``acquire()`` / ``release()`` stay for holders whose release is not
-timed.
+That is the one way to hold a slot for a known time; ``acquire()`` /
+``release()`` stay for holders whose release is not timed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim.events import Event, Simulation
@@ -57,7 +57,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: deque[Event] = deque()
-        # Counters for dstat-style introspection.
         self.total_acquisitions = 0
         self.peak_in_use = 0
 
@@ -113,10 +112,6 @@ class Resource:
             raise SimulationError(f"negative hold: {seconds}")
         return (self, seconds, None)
 
-    def use(self, service_time: float) -> Generator[HoldRequest, None, None]:
-        """Process helper: acquire, hold for ``service_time``, release."""
-        yield self.held_for(service_time)
-
 
 class Lock(Resource):
     """A mutex with an optional per-waiter convoy overhead.
@@ -139,6 +134,8 @@ class Lock(Resource):
 
         The hold lasts ``units * (per_unit + penalty)``, where the convoy
         penalty is taken from the queue length when the lock is granted.
+        A job of k samples holds the lock once but still pays k convoy
+        penalties, so batching samples does not dilute contention.
         """
         if per_unit < 0 or units < 0:
             raise SimulationError(
@@ -151,17 +148,3 @@ class Lock(Resource):
         if waiters > self.max_convoy_waiters:
             waiters = self.max_convoy_waiters
         return units * (per_unit + waiters * self.convoy_overhead)
-
-    def hold(self, base_time: float) -> Generator[HoldRequest, None, None]:
-        """Acquire, hold for ``base_time`` plus convoy penalty, release."""
-        yield self.held_for(base_time)
-
-    def hold_scaled(self, per_unit_time: float,
-                    units: float) -> Generator[HoldRequest, None, None]:
-        """Hold for ``units`` work items, paying convoy overhead *per unit*.
-
-        Used when samples are batched into jobs: a job of k samples holds
-        the lock once but still pays k context-switch penalties, so the
-        batching optimisation of the simulator does not dilute contention.
-        """
-        yield self.held_for(per_unit_time, units)

@@ -36,7 +36,7 @@ def run_memory_probe(machine_factory=None, threads: int = 8,
     machine = machine_factory(sim) if machine_factory else Machine(sim)
 
     def worker() -> Generator[Event, None, None]:
-        yield from machine.read_memory(block_bytes)
+        yield machine.memory_link.transfer(block_bytes)
 
     workers = [sim.process(worker(), name=f"membench-{i}")
                for i in range(threads)]

@@ -6,7 +6,10 @@ bytes, decoding records, or simply stalled on serialized hand-offs and
 load imbalance.  A :class:`ResourceTrace` aggregates exactly that for
 one simulated epoch, measured in *elapsed thread-seconds* per category
 (so contention and queueing are charged to the phase that waited, the
-way ``perf``/``dstat`` wall-clock profiles would see it).
+way ``perf``/``dstat`` wall-clock profiles would see it).  The batch
+body (:func:`repro.backends.simulated.batch_body`) brackets each hold
+inline: it reads ``sim.now`` before and after, so tracing never
+changes event order.
 
 Categories:
 
@@ -23,27 +26,18 @@ Anything not bracketed (runtime overhead, buffer allocation, barrier
 idle time when threads finish unevenly) lands in the derived *stall*
 remainder, so the four attribution fractions returned by
 :meth:`ResourceTrace.fractions` always sum to exactly 1.0.
-
-The :func:`timed` / :func:`timed_wait` helpers bracket simulation
-phases without perturbing event order -- they only read ``sim.now``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Generator, Optional
+from typing import Any
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Simulation
 
 #: Trace categories that accumulate elapsed thread-seconds.
 TRACE_CATEGORIES = ("open", "read", "memory", "decode", "cpu", "gil",
                     "dispatch", "shuffle")
-
-#: Category -> attribute name, precomputed so the per-event accumulation
-#: path does no string formatting.
-_CATEGORY_FIELDS = {category: f"{category}_seconds"
-                    for category in TRACE_CATEGORIES}
 
 
 @dataclass
@@ -63,15 +57,6 @@ class ResourceTrace:
     bytes_from_storage: float = 0.0
     bytes_from_cache: float = 0.0
     cache_hit_rate: float = 0.0
-
-    # -- accumulation ------------------------------------------------------
-
-    def add(self, category: str, seconds: float) -> None:
-        """Charge ``seconds`` of elapsed thread-time to ``category``."""
-        field = _CATEGORY_FIELDS.get(category)
-        if field is None:
-            raise SimulationError(f"unknown trace category {category!r}")
-        setattr(self, field, getattr(self, field) + seconds)
 
     # -- derived time budgets ----------------------------------------------
 
@@ -176,30 +161,3 @@ class ResourceTrace:
     def from_dict(cls, payload: dict[str, Any]) -> "ResourceTrace":
         return cls(**payload)
 
-
-# -- generator bracketing helpers -------------------------------------------
-
-def timed(sim: Simulation, trace: Optional[ResourceTrace], category: str,
-          generator: Generator[Event, None, None],
-          ) -> Generator[Event, None, None]:
-    """Run a sub-process generator, charging its elapsed time to
-    ``category``.  With ``trace=None`` this is a transparent pass-through,
-    so tracing never changes event scheduling."""
-    if trace is None:
-        yield from generator
-        return
-    start = sim.now
-    yield from generator
-    trace.add(category, sim.now - start)
-
-
-def timed_wait(sim: Simulation, trace: Optional[ResourceTrace],
-               category: str, event: Event,
-               ) -> Generator[Event, None, None]:
-    """Wait for ``event``, charging the wait to ``category``."""
-    if trace is None:
-        yield event
-        return
-    start = sim.now
-    yield event
-    trace.add(category, sim.now - start)

@@ -59,18 +59,6 @@ class RequestRecord:
         return self.completed - self.arrival
 
     @property
-    def queue_wait(self) -> Optional[float]:
-        if self.started is None:
-            return None
-        return self.started - self.arrival
-
-    @property
-    def service_seconds(self) -> Optional[float]:
-        if self.completed is None or self.started is None:
-            return None
-        return self.completed - self.started
-
-    @property
     def missed(self) -> bool:
         """Deadline violated: shed, or completed past the budget."""
         if self.shed:

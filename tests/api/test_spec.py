@@ -1,11 +1,14 @@
 """Unit tests for the ExperimentSpec tree (repro.api.spec)."""
 
+import json
+
 import pytest
 
 from repro.api import (DiagnoseSpec, EnvironmentSpec, ExecSpec,
                        ExperimentSpec, FanoutSpec, RunSpec, ServeSpec,
                        SpecError, TuneSpec)
 from repro.api.spec import SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
+from repro.cli import main
 
 
 def spec_for(kind: str) -> ExperimentSpec:
@@ -114,6 +117,29 @@ def test_section_validation_errors_are_actionable(section, payload,
                           **{section: payload})
     with pytest.raises(SpecError, match=fragment):
         spec.validate()
+
+
+#: Every registry-name field, with a spec that reaches its resolver.
+NAME_FIELDS = [
+    ("serve", "environment", "storage"),
+    ("serve", "environment", "backend"),
+    ("serve", "serve", "policy"),
+    ("serve", "serve", "trace"),
+    ("stream", "stream", "arrival"),
+]
+
+
+@pytest.mark.parametrize("kind,section,key", NAME_FIELDS)
+@pytest.mark.parametrize("value", [{}, ["hdd"]])
+def test_non_string_names_are_spec_errors(kind, section, key, value,
+                                          tmp_path, capsys):
+    payload = {"kind": kind, section: {key: value}}
+    with pytest.raises(SpecError, match="expected a string"):
+        ExperimentSpec.from_dict(payload).validate()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    assert main(["plan", str(path)]) == 2
+    assert "expected a string" in capsys.readouterr().err
 
 
 #: Every numeric spec field, with the workload kind that validates it.

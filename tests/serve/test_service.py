@@ -55,6 +55,15 @@ class TestServiceBasics:
             reference.offline.duration
             + sum(epoch.duration for epoch in reference.epochs), rel=1e-9)
 
+    @pytest.mark.parametrize("pipeline", ["MP3", "NILM"])
+    def test_files_opened_counts_every_source_open(self, pipeline):
+        """One cold epoch of a file-per-sample (MP3) or container (NILM)
+        source opens each of its files once."""
+        spec = _spec(pipeline=pipeline, split="unprocessed", epochs=1)
+        report = PreprocessingService(policy="fifo", slots=1).run([spec])
+        source = spec.resolve_plan().pipeline.source
+        assert report.files_opened == source.n_files
+
     def test_runs_are_deterministic(self):
         trace = bursty_trace(tenants=6, seed=3)
         service = PreprocessingService(policy="cache-aware", slots=2)

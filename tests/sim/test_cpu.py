@@ -14,7 +14,7 @@ def test_native_work_scales_with_cores():
 
         def worker():
             for _ in range(4):
-                yield from machine.compute_native(1.0)
+                yield machine.cores.held_for(1.0)
 
         def main():
             yield all_of(sim, [sim.process(worker())
@@ -36,7 +36,7 @@ def test_external_work_serializes_on_gil():
 
         def worker():
             for _ in range(per_thread):
-                yield from machine.compute_external(1.0)
+                yield machine.gil.held_for(1.0)
 
         def main():
             yield all_of(sim, [sim.process(worker())
@@ -59,7 +59,7 @@ def test_gil_convoy_makes_threads_slower():
 
         def worker():
             for _ in range(per_thread):
-                yield from machine.compute_external(1.0)
+                yield machine.gil.held_for(1.0)
 
         def main():
             yield all_of(sim, [sim.process(worker())
@@ -76,7 +76,7 @@ def test_dispatch_is_serialized():
     machine = Machine(sim, dispatch_cost=0.01, dispatch_convoy=0.0)
 
     def worker():
-        yield from machine.dispatch_samples(100)
+        yield machine.dispatch.held_for(machine.dispatch_cost, 100)
 
     def main():
         yield all_of(sim, [sim.process(worker()) for _ in range(4)])
@@ -90,7 +90,7 @@ def test_memory_read_uses_memory_link():
     machine = Machine(sim, memory_stream_bw=20 * GB)
 
     def worker():
-        yield from machine.read_memory(20 * GB)
+        yield machine.memory_link.transfer(20 * GB)
 
     sim.run_process(worker())
     assert sim.now == pytest.approx(1.0)
@@ -101,16 +101,3 @@ def test_page_cache_sized_below_ram():
     machine = Machine(sim, ram_bytes=80 * GB)
     assert machine.page_cache.capacity_bytes < 80 * GB
     assert machine.page_cache.capacity_bytes > 70 * GB
-
-
-def test_busy_counters():
-    sim = Simulation()
-    machine = Machine(sim)
-
-    def worker():
-        yield from machine.compute_native(2.0)
-        yield from machine.compute_external(3.0)
-
-    sim.run_process(worker())
-    assert machine.cpu_busy_seconds == pytest.approx(2.0)
-    assert machine.gil_busy_seconds == pytest.approx(3.0)

@@ -26,7 +26,7 @@ def test_uncontended_use_takes_service_time():
     resource = Resource(sim, capacity=2)
 
     def proc():
-        yield from resource.use(5.0)
+        yield resource.held_for(5.0)
         return sim.now
 
     assert sim.run_process(proc()) == 5.0
@@ -38,7 +38,7 @@ def test_contended_resource_queues_fifo():
     completion_order = []
 
     def proc(name):
-        yield from resource.use(1.0)
+        yield resource.held_for(1.0)
         completion_order.append((name, sim.now))
 
     def main():
@@ -54,7 +54,7 @@ def test_capacity_two_runs_pairs():
     resource = Resource(sim, capacity=2)
 
     def proc():
-        yield from resource.use(1.0)
+        yield resource.held_for(1.0)
 
     def main():
         yield all_of(sim, [sim.process(proc()) for _ in range(4)])
@@ -74,7 +74,7 @@ def test_makespan_matches_bank_teller_formula(n_jobs, capacity, service):
     resource = Resource(sim, capacity=capacity)
 
     def proc():
-        yield from resource.use(service)
+        yield resource.held_for(service)
 
     def main():
         yield all_of(sim, [sim.process(proc()) for _ in range(n_jobs)])
@@ -91,7 +91,7 @@ def test_lock_without_convoy_behaves_like_mutex():
     lock = Lock(sim)
 
     def proc():
-        yield from lock.hold(2.0)
+        yield lock.held_for(2.0)
 
     def main():
         yield all_of(sim, [sim.process(proc()) for _ in range(3)])
@@ -106,7 +106,7 @@ def test_lock_convoy_overhead_grows_with_waiters():
     lock = Lock(sim, convoy_overhead=0.1)
 
     def proc():
-        yield from lock.hold(1.0)
+        yield lock.held_for(1.0)
 
     def main():
         yield all_of(sim, [sim.process(proc()) for _ in range(3)])
@@ -121,7 +121,7 @@ def test_lock_convoy_capped_by_max_waiters():
     lock = Lock(sim, convoy_overhead=1.0, max_convoy_waiters=2)
 
     def proc():
-        yield from lock.hold(1.0)
+        yield lock.held_for(1.0)
 
     def main():
         yield all_of(sim, [sim.process(proc()) for _ in range(10)])
@@ -144,7 +144,7 @@ def test_serialized_lock_defeats_parallelism():
 
         def worker(items):
             for _ in range(items):
-                yield from lock.hold(1.0)
+                yield lock.held_for(1.0)
 
         per_thread = work_items // n_threads
 

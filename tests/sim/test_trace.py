@@ -1,12 +1,18 @@
-"""Tests for the unified resource trace (repro.sim.trace)."""
+"""Tests for the unified resource trace (repro.sim.trace) and the batch
+body's inline brackets that fill it."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.backends.simulated import BatchCounters, batch_body
 from repro.errors import SimulationError
+from repro.pipelines.base import Representation
+from repro.sim.cluster import StorageCluster
+from repro.sim.cpu import Machine
 from repro.sim.events import Simulation
-from repro.sim.resources import Resource
-from repro.sim.trace import (TRACE_CATEGORIES, ResourceTrace, timed,
-                             timed_wait)
+from repro.sim.storage import HDD_CEPH
+from repro.sim.trace import TRACE_CATEGORIES, ResourceTrace
 
 
 def make_trace(**overrides):
@@ -19,17 +25,26 @@ def make_trace(**overrides):
     return ResourceTrace(**base)
 
 
+def run_lanes(trace, lanes=2, opens_per_sample=0.0):
+    """``lanes`` reader lanes, each serving one one-sample batch of a
+    raw single-byte sample with 1 s of native online CPU, through
+    :func:`batch_body` on a one-core machine with free file opens."""
+    sim = Simulation()
+    machine = Machine(sim, cores=1)
+    cluster = StorageCluster(sim, HDD_CEPH, memory_link=machine.memory_link)
+    stored = Representation("raw", bytes_per_sample=1.0,
+                            record_format=False)
+    step = SimpleNamespace(holds_gil=False, cpu_seconds=1.0)
+    batches = batch_body(sim, machine, cluster, stored, 1.0,
+                         opens_per_sample, 0.0, [step],
+                         BatchCounters(), trace=trace)
+    for lane in range(lanes):
+        sim.process(batches([(1, ("chunk", lane), None)]))
+    sim.run()
+    return sim, cluster
+
+
 class TestAccounting:
-    def test_add_accumulates_categories(self):
-        trace = ResourceTrace(duration=1.0, threads=1)
-        trace.add("read", 0.25)
-        trace.add("read", 0.25)
-        assert trace.read_seconds == 0.5
-
-    def test_add_rejects_unknown_category(self):
-        with pytest.raises(SimulationError):
-            ResourceTrace().add("gpu", 1.0)
-
     def test_stall_is_the_unaccounted_remainder(self):
         trace = make_trace()
         assert trace.total_thread_seconds == 40.0
@@ -97,51 +112,20 @@ class TestCombination:
 
 
 class TestBracketHelpers:
-    def test_timed_charges_elapsed_generator_time(self):
-        sim = Simulation()
-        trace = ResourceTrace(threads=1)
-        resource = Resource(sim, capacity=1)
-
-        def process():
-            yield from timed(sim, trace, "cpu", resource.use(2.5))
-
-        sim.run_process(process())
-        assert trace.cpu_seconds == pytest.approx(2.5)
-
-    def test_timed_wait_charges_event_wait(self):
-        sim = Simulation()
-        trace = ResourceTrace(threads=1)
-
-        def process():
-            yield from timed_wait(sim, trace, "read", sim.timeout(1.5))
-
-        sim.run_process(process())
-        assert trace.read_seconds == pytest.approx(1.5)
-
     def test_none_trace_is_passthrough(self):
-        sim = Simulation()
-        resource = Resource(sim, capacity=1)
-
-        def process():
-            yield from timed(sim, None, "cpu", resource.use(1.0))
-            yield from timed_wait(sim, None, "read", sim.timeout(1.0))
-
-        sim.run_process(process())
-        assert sim.now == pytest.approx(2.0)
+        """Brackets only read the clock: a traced run schedules the same
+        events at the same times as an untraced one."""
+        untraced, _ = run_lanes(None)
+        traced, _ = run_lanes(ResourceTrace(threads=2))
+        assert traced.now == untraced.now
+        assert traced.events_processed == untraced.events_processed
 
     def test_contention_is_charged_to_the_waiting_category(self):
-        sim = Simulation()
         trace = ResourceTrace(threads=2)
-        resource = Resource(sim, capacity=1)
-
-        def process():
-            yield from timed(sim, trace, "read", resource.use(1.0))
-
-        sim.process(process())
-        sim.process(process())
-        sim.run()
-        # First holds 1s; second waits 1s then holds 1s -> 3 elapsed.
-        assert trace.read_seconds == pytest.approx(3.0)
+        run_lanes(trace)
+        # First lane holds the one core 1 s; the second waits 1 s, then
+        # holds it 1 s -> 3 s of cpu thread-time.
+        assert trace.cpu_seconds == pytest.approx(3.0)
 
     def test_every_category_has_a_field(self):
         trace = ResourceTrace()
@@ -150,8 +134,7 @@ class TestBracketHelpers:
 
 
 class TestEdgeCases:
-    """Boundary behaviour: empty traces, nested brackets, zero-duration
-    spans (previously only covered incidentally)."""
+    """Boundary behaviour: empty traces and zero-duration spans."""
 
     def test_empty_trace_budgets_are_zero(self):
         trace = ResourceTrace()
@@ -167,69 +150,18 @@ class TestEdgeCases:
         scaled = ResourceTrace().scaled(10.0)
         assert scaled.fractions()["stall"] == 1.0
 
-    def test_nested_brackets_charge_both_categories(self):
-        """A ``timed`` bracket inside another charges the elapsed time
-        to *both* categories -- nesting double-counts by design (the
-        outer bracket measures the whole phase), so engines bracket
-        disjoint phases only."""
-        sim = Simulation()
-        trace = ResourceTrace(threads=1)
-
-        def wait(seconds):
-            yield sim.timeout(seconds)
-
-        def inner():
-            yield from timed(sim, trace, "decode", wait(2.0))
-
-        def outer():
-            yield from timed(sim, trace, "cpu", inner())
-
-        sim.run_process(outer())
-        assert trace.decode_seconds == pytest.approx(2.0)
-        assert trace.cpu_seconds == pytest.approx(2.0)
-        assert trace.accounted_seconds == pytest.approx(4.0)
-
-    def test_nested_bracket_charges_only_the_inner_span(self):
-        """Work before/after an inner bracket stays with the outer
-        category: the inner bracket reads the clock on entry/exit."""
-        sim = Simulation()
-        trace = ResourceTrace(threads=1)
-
-        def wait(seconds):
-            yield sim.timeout(seconds)
-
-        def body():
-            yield sim.timeout(1.0)                               # outer
-            yield from timed(sim, trace, "read", wait(2.0))
-            yield sim.timeout(4.0)                               # outer
-
-        def outer():
-            yield from timed(sim, trace, "cpu", body())
-
-        sim.run_process(outer())
-        assert trace.read_seconds == pytest.approx(2.0)
-        assert trace.cpu_seconds == pytest.approx(7.0)
-
     def test_zero_duration_span_charges_nothing(self):
-        sim = Simulation()
+        """A zero-second metadata hold still opens the file, and its
+        bracket charges nothing."""
         trace = ResourceTrace(threads=1)
-
-        def instant():
-            return
-            yield  # pragma: no cover -- makes this a generator
-
-        def process():
-            yield from timed(sim, trace, "cpu", instant())
-            yield from timed_wait(sim, trace, "read", sim.timeout(0.0))
-
-        sim.run_process(process())
-        assert trace.cpu_seconds == 0.0
-        assert trace.read_seconds == 0.0
-        assert sim.now == 0.0
+        _, cluster = run_lanes(trace, lanes=1, opens_per_sample=1.0)
+        assert cluster.files_opened == 1
+        assert trace.open_seconds == 0.0
+        assert trace.cpu_seconds == pytest.approx(1.0)
 
     def test_zero_duration_add_keeps_fractions_finite(self):
         trace = ResourceTrace(duration=1.0, threads=1)
-        trace.add("cpu", 0.0)
+        trace.cpu_seconds += 0.0
         shares = trace.fractions()
         assert shares["cpu"] == 0.0
         assert sum(shares.values()) == pytest.approx(1.0)
