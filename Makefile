@@ -12,14 +12,16 @@
 #                      (skips with a notice when mypy is absent)
 #   make trace-smoke   generate Chrome traces via the CLI and
 #                      schema-validate them (tools/trace_smoke.py)
-#   make bench         write the BENCH_serve.json performance snapshot
-#   make bench-check   CI perf smoke: assert the pinned scenario's
-#                      deterministic event count (never wall time)
+#   make bench-check   CI perf smoke: assert the pinned scenarios'
+#                      deterministic event counts and simulated end
+#                      times (never wall time)
 #   make plan-examples validate every shipped experiment spec with
 #                      `presto plan` (CI keeps examples/experiments/ green)
 #   make simbench-check one simbench run per workload; fails unless each
 #                      matches simbench/reference.json (outputs and
-#                      report SHA-256) and the baseline pins
+#                      report SHA-256) and the baseline pins; writes
+#                      each workload's result to SIMBENCH.json, the
+#                      input of `presto trend`
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -29,8 +31,8 @@ COVERAGE_FLOOR ?= 80
 
 .PHONY: test smoke sweep golden coverage coverage-diagnosis coverage-serve \
 	coverage-api coverage-ctl coverage-stream coverage-obs \
-	coverage-faults coverage-lint lint typecheck trace-smoke bench \
-	bench-check plan-examples simbench-check
+	coverage-faults coverage-lint lint typecheck trace-smoke bench-check \
+	plan-examples simbench-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -79,9 +81,6 @@ coverage-lint:
 
 trace-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/trace_smoke.py
-
-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/perf/bench_serve.py --output BENCH_serve.json
 
 bench-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/perf/bench_serve.py --check

@@ -22,7 +22,7 @@ Subcommands::
                                       latency SLOs and backpressure
     presto lint [PATH]                simlint static analysis: the DES
                                       discipline rules (docs/lint.md)
-    presto trend A.json B.json        events/s deltas across bench
+    presto trend A.json B.json        host-time deltas across simbench
                                       snapshots, flagging regressions
 
 Every workload subcommand (profile/sweep/tune/diagnose/serve/fanout) is
@@ -65,7 +65,7 @@ from repro.api import (ControlSpec, DiagnoseSpec, EnvironmentSpec,
 from repro.core.report import bottleneck_report
 from repro.datasets.catalog import table2_frame
 from repro.errors import ReproError
-from repro.obs.trend import METRIC_DIRECTIONS
+from repro.obs.trend import DEFAULT_METRIC, METRIC_DIRECTIONS
 from repro.pipelines.registry import PAPER_PIPELINES, get_pipeline
 from repro.sim.fio import run_fio
 from repro.units import MB
@@ -292,36 +292,23 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the control plane; see docs/faults.md)")
     _add_obs_options(stream)
 
-    lint = sub.add_parser(
+    # simlint owns its flags: ``main`` forwards everything after
+    # ``lint`` to repro.lint.cli unparsed; this entry lists it in -h.
+    sub.add_parser(
         "lint",
         help="static analysis for DES discipline (simlint): wall-clock "
              "bans, seeded+namespaced RNG, sorted listings, the "
              "telemetry wall")
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to lint "
-                           "(default: src tools benchmarks)")
-    lint.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit findings as JSON (schema 1)")
-    lint.add_argument("--select", metavar="RULES", default=None,
-                      help="comma-separated rule ids to run")
-    lint.add_argument("--ignore", metavar="RULES", default=None,
-                      help="comma-separated rule ids to skip")
-    lint.add_argument("--list-rules", action="store_true",
-                      dest="list_rules",
-                      help="print the rule catalog and exit")
-    lint.add_argument("--root", metavar="DIR", default=None,
-                      help="repo root findings are reported relative "
-                           "to (default: current directory)")
 
     trend = sub.add_parser(
         "trend",
-        help="compare bench snapshots (BENCH_serve.json) and flag "
-             "per-scenario regressions")
-    trend.add_argument("snapshots", nargs="+", metavar="BENCH_JSON",
+        help="compare simbench snapshots (SIMBENCH.json) and flag "
+             "per-workload regressions")
+    trend.add_argument("snapshots", nargs="+", metavar="SIMBENCH_JSON",
                        help="two or more snapshots, oldest first")
     trend.add_argument("--metric", choices=sorted(METRIC_DIRECTIONS),
-                       default="events_per_sec",
-                       help="which scenario metric to compare")
+                       default=DEFAULT_METRIC,
+                       help="which end-to-end metric to compare")
     trend.add_argument("--threshold", type=float, default=5.0,
                        metavar="PCT",
                        help="regression threshold in percent")
@@ -663,22 +650,6 @@ def _cmd_stream(args) -> int:
         seed=args.seed), args)
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint import cli as lint_cli
-    argv = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.select:
-        argv.extend(["--select", args.select])
-    if args.ignore:
-        argv.extend(["--ignore", args.ignore])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.root:
-        argv.extend(["--root", args.root])
-    return lint_cli.run(argv)
-
-
 def _cmd_trend(args) -> int:
     import json
     from repro.obs.trend import analyze_files
@@ -700,6 +671,10 @@ def main_entry() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint import cli as lint_cli
+        return lint_cli.run(argv[1:])
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
@@ -726,7 +701,6 @@ def _dispatch(args) -> int:
         "serve": lambda: _cmd_serve(args),
         "ctl": lambda: _cmd_ctl(args),
         "stream": lambda: _cmd_stream(args),
-        "lint": lambda: _cmd_lint(args),
         "trend": lambda: _cmd_trend(args),
     }
     return handlers[args.command]()

@@ -123,6 +123,6 @@ class ObservabilityError(ReproError):
     """Telemetry was configured incorrectly or produced an invalid export.
 
     Raised by :mod:`repro.obs` for malformed Chrome-trace payloads, trend
-    snapshots that do not look like ``BENCH_serve.json``, and telemetry
+    snapshots that do not look like ``SIMBENCH.json``, and telemetry
     flags that conflict with the requested run shape.
     """

@@ -41,7 +41,6 @@ from .framework import (
     rule_catalog,
 )
 from . import rules as _rules  # noqa: F401  (registers the catalog)
-from .cli import main
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -54,7 +53,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "main",
     "render_text",
     "rule_catalog",
 ]

@@ -115,10 +115,5 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if findings else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of ``presto lint``."""
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -13,7 +13,7 @@ schedules exactly the same DES events as before this package existed
 * :mod:`repro.obs.follow` -- live text dashboard over the execution
   ledger feed (``presto ctl --follow``);
 * :mod:`repro.obs.trend` -- regression flagging across a series of
-  ``BENCH_serve.json`` snapshots (``presto trend``).
+  ``SIMBENCH.json`` snapshots (``presto trend``).
 
 :class:`Telemetry` bundles the per-run switches; the CLI builds one from
 ``--metrics-out``/``--trace-out``/``--trace-detail``/``--follow`` and

@@ -1,17 +1,18 @@
-"""Bench trend analysis over a series of ``BENCH_serve.json`` snapshots.
+"""Host-time trend analysis over a series of ``SIMBENCH.json`` snapshots.
 
-CI uploads one ``BENCH_serve.json`` per run (``make bench``); this module
-flattens each snapshot into ``scenario -> metric`` rows, computes the
-delta of every scenario between consecutive snapshots, and flags
-regressions.  Regression direction is metric-aware:
+``make simbench-check`` (``tools/simbench_check.py``) runs each simbench
+workload once and writes the result lines to ``SIMBENCH.json`` as
+``{workload: {"metrics": {name: {"value": v, ...}}, ...}}``; CI uploads
+one per run.  This module reads one end-to-end metric per workload from
+each snapshot, computes its delta between consecutive snapshots, and
+flags regressions.  The metric names are ``BENCHMARK.json``'s
+end-to-end ones, and the regression direction is metric-aware:
 
-* ``events_per_sec`` -- lower is worse (throughput drop);
-* ``wall_seconds``   -- higher is worse (slowdown);
-* ``events``         -- *any* change is flagged (deterministic cost
+* ``wall_ms_per_unit``, ``setup_s``, ``peak_rss_mb`` -- higher is worse;
+* ``events_per_unit`` -- *any* change is flagged (deterministic cost
   drifted, which must be an acknowledged decision, never an accident).
 
-Exposed as ``presto trend A.json B.json ...``; the snapshots come from
-``benchmarks/perf/bench_serve.py``.
+Exposed as ``presto trend A.json B.json ...``.
 """
 
 from __future__ import annotations
@@ -28,19 +29,23 @@ __all__ = ["TrendPoint", "TrendReport", "load_snapshot", "flatten_snapshot",
            "analyze", "analyze_files"]
 
 #: Metrics the trend tool knows how to compare, and which direction of
-#: change is a regression ("down", "up", or "any").
+#: change is a regression ("up" or "any").
 METRIC_DIRECTIONS = {
-    "events_per_sec": "down",
-    "wall_seconds": "up",
-    "events": "any",
+    "wall_ms_per_unit": "up",
+    "setup_s": "up",
+    "peak_rss_mb": "up",
+    "events_per_unit": "any",
 }
+
+#: The metric compared when none is named.
+DEFAULT_METRIC = "wall_ms_per_unit"
 
 
 @dataclass(frozen=True)
 class TrendPoint:
-    """One scenario's change between two consecutive snapshots."""
+    """One workload's change between two consecutive snapshots."""
 
-    scenario: str
+    workload: str
     metric: str
     before: float
     after: float
@@ -48,7 +53,7 @@ class TrendPoint:
     regression: bool
 
     def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "metric": self.metric,
+        return {"workload": self.workload, "metric": self.metric,
                 "before": self.before, "after": self.after,
                 "delta_pct": self.delta_pct, "regression": self.regression}
 
@@ -79,25 +84,25 @@ class TrendReport:
         records = []
         for point in self.points:
             records.append({
-                "scenario": point.scenario,
+                "workload": point.workload,
                 "before": round(point.before, 3),
                 "after": round(point.after, 3),
                 "delta_%": round(point.delta_pct, 2),
                 "flag": "REGRESSION" if point.regression else "",
             })
         if not records:
-            return "(no comparable scenarios)"
+            return "(no comparable workloads)"
         return Frame.from_records(records).to_markdown()
 
     def describe(self) -> str:
-        lines = [f"bench trend: {self.metric} across "
+        lines = [f"simbench trend: {self.metric} across "
                  f"{' -> '.join(self.labels)}",
                  self.to_markdown()]
         if self.regressions:
             lines.append(f"{len(self.regressions)} regression(s) beyond "
                          f"{self.threshold_pct:.1f}%:")
             for point in self.regressions:
-                lines.append(f"  {point.scenario}: {point.before:.3f} -> "
+                lines.append(f"  {point.workload}: {point.before:.3f} -> "
                              f"{point.after:.3f} ({point.delta_pct:+.2f}%)")
         else:
             lines.append(f"no regressions beyond {self.threshold_pct:.1f}%")
@@ -108,40 +113,36 @@ def load_snapshot(path: Path) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ObservabilityError(f"cannot read bench snapshot {path}: "
+        raise ObservabilityError(f"cannot read simbench snapshot {path}: "
                                  f"{exc}") from exc
-    if not isinstance(payload, dict) or (
-            "serve" not in payload and "stream" not in payload):
+    if not isinstance(payload, dict) or not payload or not all(
+            isinstance(result, dict)
+            and isinstance(result.get("metrics"), dict)
+            for result in payload.values()):
         raise ObservabilityError(
-            f"{path} does not look like a BENCH_serve.json snapshot "
-            "(missing 'serve'/'stream' sections)")
+            f"{path} does not look like a SIMBENCH.json snapshot "
+            "(expected {workload: {\"metrics\": ...}}, as `make "
+            "simbench-check` writes)")
     return payload
 
 
 def flatten_snapshot(snapshot: dict, metric: str) -> Dict[str, float]:
-    """``scenario-key -> metric`` rows from one snapshot.
+    """``workload -> metric value`` rows from one snapshot.
 
-    Keys: ``serve/<name>/<policy>``, ``stream/<name>``, ``link10k``.
-    Scenarios that lack the metric are skipped (older schemas).
+    Workloads whose result lacks the metric are skipped.
     """
     rows: Dict[str, float] = {}
-    for name, payload in sorted(snapshot.get("serve", {}).items()):
-        for policy, metrics in sorted(payload.get("policies", {}).items()):
-            if metric in metrics:
-                rows[f"serve/{name}/{policy}"] = float(metrics[metric])
-    for name, metrics in sorted(snapshot.get("stream", {}).items()):
-        if metric in metrics:
-            rows[f"stream/{name}"] = float(metrics[metric])
-    link = snapshot.get("link10k", {})
-    if metric in link:
-        rows["link10k"] = float(link[metric])
+    for workload, result in sorted(snapshot.items()):
+        entry = result["metrics"].get(metric)
+        if isinstance(entry, dict) and "value" in entry:
+            rows[workload] = float(entry["value"])
     return rows
 
 
 def analyze(snapshots: Sequence[dict], labels: Sequence[str],
-            metric: str = "events_per_sec",
+            metric: str = DEFAULT_METRIC,
             threshold_pct: float = 5.0) -> TrendReport:
-    """Compare consecutive snapshots; flag per-scenario regressions."""
+    """Compare consecutive snapshots; flag per-workload regressions."""
     if metric not in METRIC_DIRECTIONS:
         raise ObservabilityError(
             f"unknown trend metric {metric!r}; "
@@ -157,25 +158,23 @@ def analyze(snapshots: Sequence[dict], labels: Sequence[str],
         after_rows = flatten_snapshot(snapshots[index], metric)
         step = ("" if len(snapshots) == 2
                 else f"[{labels[index - 1]}->{labels[index]}] ")
-        for scenario in sorted(set(before_rows) & set(after_rows)):
-            before = before_rows[scenario]
-            after = after_rows[scenario]
+        for workload in sorted(set(before_rows) & set(after_rows)):
+            before = before_rows[workload]
+            after = after_rows[workload]
             delta_pct = ((after - before) / before * 100.0
                          if before else 0.0)
-            if direction == "down":
-                regression = delta_pct < -threshold_pct
-            elif direction == "up":
+            if direction == "up":
                 regression = delta_pct > threshold_pct
             else:  # "any": deterministic metric, exact match required
                 regression = after != before
             report.points.append(TrendPoint(
-                scenario=step + scenario, metric=metric,
+                workload=step + workload, metric=metric,
                 before=before, after=after,
                 delta_pct=round(delta_pct, 4), regression=regression))
     return report
 
 
-def analyze_files(paths: Sequence[Path], metric: str = "events_per_sec",
+def analyze_files(paths: Sequence[Path], metric: str = DEFAULT_METRIC,
                   threshold_pct: float = 5.0,
                   labels: Optional[Sequence[str]] = None) -> TrendReport:
     snapshots = [load_snapshot(Path(path)) for path in paths]

@@ -210,6 +210,26 @@ def bursty_trace(tenants: int, seed: int = 0,
     return jobs
 
 
+def _diurnal_arrivals(rng: random.Random, period: float,
+                      count: int) -> list:
+    """``count`` sorted arrival offsets in ``[0, period)`` drawn from the
+    diurnal intensity curve.
+
+    The period is divided into 24 "hours" whose arrival weight is
+    ``1 + sin``-shaped, peaking mid-period.  Each arrival draws its hour,
+    then its offset within the hour, from ``rng``.
+    """
+    import math
+    buckets = 24
+    bucket_len = period / buckets
+    weights = [1.0 + math.sin(2 * math.pi * (hour + 0.5) / buckets -
+                              math.pi / 2) for hour in range(buckets)]
+    return sorted(
+        rng.choices(range(buckets), weights=weights, k=1)[0] * bucket_len
+        + rng.random() * bucket_len
+        for _ in range(count))
+
+
 def diurnal_trace(tenants: int, seed: int = 0,
                   pipelines: Sequence[str] = DEFAULT_PIPELINE_MIX,
                   period: float = 7200.0, epochs: int = 2,
@@ -222,16 +242,8 @@ def diurnal_trace(tenants: int, seed: int = 0,
     hours and leave the valleys nearly idle.
     """
     _validate(tenants, pipelines, jobs_per_tenant)
-    import math
     rng = random.Random(seed)
-    buckets = 24
-    bucket_len = period / buckets
-    weights = [1.0 + math.sin(2 * math.pi * (hour + 0.5) / buckets -
-                              math.pi / 2) for hour in range(buckets)]
-    arrivals = sorted(
-        rng.choices(range(buckets), weights=weights, k=1)[0] * bucket_len
-        + rng.random() * bucket_len
-        for _ in range(tenants * jobs_per_tenant))
+    arrivals = _diurnal_arrivals(rng, period, tenants * jobs_per_tenant)
     jobs = []
     for index, arrival in enumerate(arrivals):
         pipeline = rng.choice(tuple(pipelines))
@@ -293,12 +305,7 @@ def operations_trace(tenants: int, seed: int = 0,
         raise ProfilingError("need at least one day")
     if day_length <= 0:
         raise ProfilingError("day_length must be positive")
-    import math
     rng = random.Random(seed)
-    buckets = 24
-    bucket_len = day_length / buckets
-    weights = [1.0 + math.sin(2 * math.pi * (hour + 0.5) / buckets -
-                              math.pi / 2) for hour in range(buckets)]
     hot_pipeline = rng.choice(tuple(pipelines))
     from repro.pipelines.registry import get_pipeline
     hot_split = get_pipeline(hot_pipeline).strategy_names()[-1]
@@ -319,10 +326,8 @@ def operations_trace(tenants: int, seed: int = 0,
                 priority=_priority(rng)))
             index += 1
         # The diurnal background load for the rest of the day.
-        arrivals = sorted(
-            rng.choices(range(buckets), weights=weights, k=1)[0]
-            * bucket_len + rng.random() * bucket_len
-            for _ in range(per_day - burst_size))
+        arrivals = _diurnal_arrivals(rng, day_length,
+                                     per_day - burst_size)
         for arrival in arrivals:
             pipeline = rng.choice(tuple(pipelines))
             jobs.append(JobSpec(

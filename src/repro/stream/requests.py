@@ -21,7 +21,6 @@ epoch itself.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -29,7 +28,8 @@ from typing import Iterator, Optional, Sequence
 from repro.backends.base import RunConfig
 from repro.errors import ProfilingError
 from repro.pipelines.base import SplitPlan
-from repro.serve.jobs import DEFAULT_PIPELINE_MIX, _materialized_split
+from repro.serve.jobs import (DEFAULT_PIPELINE_MIX, _diurnal_arrivals,
+                             _materialized_split)
 
 #: Arrival-process shapes understood by :func:`arrival_schedule`.
 ARRIVAL_KINDS = ("poisson", "burst", "diurnal")
@@ -157,16 +157,8 @@ def _burst_schedule(spec: StreamTenantSpec, seed: int) -> tuple:
 def _diurnal_schedule(spec: StreamTenantSpec, seed: int) -> tuple:
     """Arrivals over one sinusoidal day whose length is the nominal
     stream duration (requests / rate), peaking mid-period."""
-    rng = _schedule_rng(spec, seed)
-    period = spec.requests / spec.rate
-    buckets = 24
-    bucket_len = period / buckets
-    weights = [1.0 + math.sin(2 * math.pi * (hour + 0.5) / buckets -
-                              math.pi / 2) for hour in range(buckets)]
-    times = sorted(
-        rng.choices(range(buckets), weights=weights, k=1)[0] * bucket_len
-        + rng.random() * bucket_len
-        for _ in range(spec.requests))
+    times = _diurnal_arrivals(_schedule_rng(spec, seed),
+                              spec.requests / spec.rate, spec.requests)
     return tuple(spec.start + time for time in times)
 
 

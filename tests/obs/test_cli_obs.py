@@ -107,15 +107,18 @@ class TestSessionTelemetry:
 
 
 class TestTrendCommand:
+    @staticmethod
+    def _snapshot(wall, events=1000.0):
+        return {workload: {"correct": True, "failed": 0, "metrics": {
+            "wall_ms_per_unit": {"value": wall, "unit": "ms"},
+            "events_per_unit": {"value": events, "unit": "count"}}}
+            for workload in ("serve64_hot_raw", "stream64_poisson")}
+
     @pytest.fixture
     def series(self, tmp_path):
-        metrics = {"events": 100, "events_per_sec": 50000.0,
-                   "wall_seconds": 2.0}
-        regressed = dict(metrics, events_per_sec=40000.0)
-        before = {"serve": {"serve64": {"policies": {"fifo": metrics}}},
-                  "stream": {"stream64": metrics}, "link10k": metrics}
-        after = {"serve": {"serve64": {"policies": {"fifo": regressed}}},
-                 "stream": {"stream64": metrics}, "link10k": metrics}
+        before = self._snapshot(wall=2.0)
+        after = dict(before, serve64_hot_raw=self._snapshot(
+            wall=2.5, events=1001.0)["serve64_hot_raw"])
         a, b = tmp_path / "A.json", tmp_path / "B.json"
         a.write_text(json.dumps(before))
         b.write_text(json.dumps(after))
@@ -125,7 +128,8 @@ class TestTrendCommand:
         assert main(["trend", *series]) == 0
         out = capsys.readouterr().out
         assert "REGRESSION" in out
-        assert "serve/serve64/fifo" in out
+        assert "serve64_hot_raw" in out
+        assert "wall_ms_per_unit" in out
 
     def test_fail_on_regression_exits_3(self, series, capsys):
         assert main(["trend", *series, "--fail-on-regression"]) == 3
@@ -136,10 +140,29 @@ class TestTrendCommand:
         assert main(["trend", *series, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressions"] == 1
-        assert payload["metric"] == "events_per_sec"
+        assert payload["metric"] == "wall_ms_per_unit"
+        assert main(["trend", *series, "--json",
+                     "--metric", "events_per_unit"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [point["workload"] for point in payload["points"]
+                if point["regression"]] == ["serve64_hot_raw"]
 
     def test_bad_snapshot_is_a_clean_error(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
         assert main(["trend", str(bogus), str(bogus)]) == 2
         assert "presto: error" in capsys.readouterr().err
+
+    def test_bench_serve_snapshot_is_a_clean_error(self, tmp_path, capsys):
+        """The retired wall-clock snapshot shape is not a trend input."""
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({
+            "schema": 2, "python": "3.11.7",
+            "serve": {"serve64": {"policies": {"cache-aware": {
+                "events": 100, "events_per_sec": 5e4,
+                "wall_seconds": 2.0}}}},
+            "stream": {"stream64": {"events": 100}}}))
+        assert main(["trend", str(legacy), str(legacy)]) == 2
+        err = capsys.readouterr().err
+        assert "presto: error" in err
+        assert "SIMBENCH.json" in err

@@ -1,6 +1,8 @@
-"""Tests for bench trend analysis (repro.obs.trend)."""
+"""Tests for simbench trend analysis (repro.obs.trend)."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,63 +10,82 @@ from repro.errors import ObservabilityError
 from repro.obs.trend import (METRIC_DIRECTIONS, analyze, analyze_files,
                              flatten_snapshot, load_snapshot)
 
+REPO = Path(__file__).resolve().parents[2]
 
-def snapshot(serve_eps=50000.0, stream_eps=80000.0, link_eps=90000.0,
-             events=100, wall=2.0):
-    """A minimal BENCH_serve.json-shaped snapshot."""
-    metrics = lambda eps: {"events": events, "events_per_sec": eps,  # noqa: E731
-                           "wall_seconds": wall}
+
+def result(wall=2.0, setup=0.1, rss=40.0, events=1000.0):
+    """One workload's simbench result line (``run.py``'s last line)."""
+    values = {"wall_ms_per_unit": wall, "setup_s": setup,
+              "peak_rss_mb": rss, "events_per_unit": events}
+    return {"correct": True, "attempted": 6, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "x"}
+                        for name, value in values.items()}}
+
+
+def snapshot(serve_wall=2.0, stream_wall=3.0, ctl_wall=4.0, **shared):
+    """A minimal SIMBENCH.json-shaped snapshot."""
     return {
-        "serve": {"serve64_hot_raw": {
-            "policies": {"fifo": metrics(serve_eps)}}},
-        "stream": {"stream64": metrics(stream_eps)},
-        "link10k": metrics(link_eps),
+        "serve64_hot_raw": result(wall=serve_wall, **shared),
+        "stream64_poisson": result(wall=stream_wall, **shared),
+        "ctl_ops_chaos32": result(wall=ctl_wall, **shared),
     }
 
 
 class TestFlatten:
     def test_scenario_keys(self):
-        rows = flatten_snapshot(snapshot(), "events_per_sec")
-        assert sorted(rows) == ["link10k", "serve/serve64_hot_raw/fifo",
-                                "stream/stream64"]
+        rows = flatten_snapshot(snapshot(), "wall_ms_per_unit")
+        assert rows == {"ctl_ops_chaos32": 4.0, "serve64_hot_raw": 2.0,
+                        "stream64_poisson": 3.0}
 
     def test_missing_metric_rows_are_skipped(self):
-        legacy = {"serve": {"old": {"policies": {"fifo": {"events": 5}}}}}
-        assert flatten_snapshot(legacy, "events_per_sec") == {}
+        traced = {"serve64_hot_raw": {"metrics": {
+            "wall_s": {"value": 6.9}}}}
+        assert flatten_snapshot(traced, "wall_ms_per_unit") == {}
 
 
 class TestAnalyze:
     def test_synthetic_throughput_regression_is_flagged(self):
-        before, after = snapshot(), snapshot(serve_eps=40000.0)
+        before, after = snapshot(), snapshot(serve_wall=2.5)
         report = analyze([before, after], ["A", "B"])
-        flagged = {point.scenario for point in report.regressions}
-        assert flagged == {"serve/serve64_hot_raw/fifo"}
+        assert report.metric == "wall_ms_per_unit"
+        flagged = {point.workload for point in report.regressions}
+        assert flagged == {"serve64_hot_raw"}
         point = report.regressions[0]
-        assert point.delta_pct == pytest.approx(-20.0)
+        assert point.delta_pct == pytest.approx(25.0)
 
     def test_threshold_gates_small_drops(self):
-        report = analyze([snapshot(), snapshot(serve_eps=49000.0)],
+        report = analyze([snapshot(), snapshot(serve_wall=2.05)],
                          ["A", "B"], threshold_pct=5.0)
         assert not report.regressions
+        faster = analyze([snapshot(), snapshot(serve_wall=1.0)],
+                         ["A", "B"])
+        assert not faster.regressions
 
-    def test_wall_seconds_regression_is_a_rise(self):
-        before, after = snapshot(), snapshot(wall=3.0)
-        report = analyze([before, after], ["A", "B"],
-                         metric="wall_seconds")
-        assert len(report.regressions) == 3  # every scenario slowed
+    def test_setup_and_rss_regressions_are_rises(self):
+        for metric, changed in (("setup_s", dict(setup=0.2)),
+                                ("peak_rss_mb", dict(rss=50.0))):
+            before, after = snapshot(), snapshot(**changed)
+            report = analyze([before, after], ["A", "B"], metric=metric)
+            assert len(report.regressions) == 3  # every workload rose
+            assert not analyze([after, before], ["A", "B"],
+                               metric=metric).regressions
 
     def test_event_count_metric_flags_any_drift(self):
-        before, after = snapshot(), snapshot(events=101)
-        report = analyze([before, after], ["A", "B"], metric="events")
+        before, after = snapshot(), snapshot(events=1000.5)
+        report = analyze([before, after], ["A", "B"],
+                         metric="events_per_unit")
         assert len(report.regressions) == 3
+        fewer = analyze([after, before], ["A", "B"],
+                        metric="events_per_unit")
+        assert len(fewer.regressions) == 3
         assert not analyze([before, before], ["A", "B"],
-                           metric="events").regressions
+                           metric="events_per_unit").regressions
 
     def test_multi_step_series_labels_each_step(self):
-        series = [snapshot(), snapshot(), snapshot(serve_eps=30000.0)]
+        series = [snapshot(), snapshot(), snapshot(serve_wall=3.0)]
         report = analyze(series, ["A", "B", "C"])
-        scenarios = [point.scenario for point in report.regressions]
-        assert scenarios == ["[B->C] serve/serve64_hot_raw/fifo"]
+        workloads = [point.workload for point in report.regressions]
+        assert workloads == ["[B->C] serve64_hot_raw"]
 
     def test_rejects_unknown_metric_and_short_series(self):
         with pytest.raises(ObservabilityError, match="unknown"):
@@ -73,14 +94,17 @@ class TestAnalyze:
             analyze([snapshot()], ["A"])
 
     def test_known_metrics_have_directions(self):
-        assert set(METRIC_DIRECTIONS.values()) <= {"down", "up", "any"}
+        assert set(METRIC_DIRECTIONS.values()) <= {"up", "any"}
+        end_to_end = {entry["name"] for entry in json.loads(
+            (REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+        assert set(METRIC_DIRECTIONS) == end_to_end
 
 
 class TestFiles:
     def test_analyze_files_defaults_labels_to_names(self, tmp_path):
         a, b = tmp_path / "A.json", tmp_path / "B.json"
         a.write_text(json.dumps(snapshot()))
-        b.write_text(json.dumps(snapshot(serve_eps=40000.0)))
+        b.write_text(json.dumps(snapshot(serve_wall=2.5)))
         report = analyze_files([a, b])
         assert report.labels == ["A.json", "B.json"]
         assert len(report.regressions) == 1
@@ -91,15 +115,23 @@ class TestFiles:
         missing = tmp_path / "missing.json"
         with pytest.raises(ObservabilityError, match="cannot read"):
             load_snapshot(missing)
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"unrelated": True}))
-        with pytest.raises(ObservabilityError, match="BENCH_serve"):
-            load_snapshot(bogus)
+        for payload in ({}, [1, 2], {"unrelated": True},
+                        {"serve64_hot_raw": {"correct": True}}):
+            bogus = tmp_path / "bogus.json"
+            bogus.write_text(json.dumps(payload))
+            with pytest.raises(ObservabilityError, match="SIMBENCH"):
+                load_snapshot(bogus)
 
-    def test_real_bench_baseline_loads(self):
-        """The committed perf baseline is itself a valid snapshot."""
-        from pathlib import Path
-        baseline = Path(__file__).resolve().parents[2] \
-            / "benchmarks" / "perf" / "baseline.json"
-        rows = flatten_snapshot(load_snapshot(baseline), "events")
-        assert rows, "baseline.json flattened to no scenarios"
+    def test_simbench_check_snapshot_loads(self, tmp_path):
+        """What ``tools/simbench_check.py`` writes is what trend reads."""
+        spec = importlib.util.spec_from_file_location(
+            "simbench_check", REPO / "tools" / "simbench_check.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        path = tmp_path / "SIMBENCH.json"
+        path.write_text(json.dumps(tool.snapshot({
+            "serve64_hot_raw": "progress\n" + json.dumps(result()),
+            "stream64_poisson": json.dumps(result(wall=3.0)),
+        })))
+        rows = flatten_snapshot(load_snapshot(path), "wall_ms_per_unit")
+        assert rows == {"serve64_hot_raw": 2.0, "stream64_poisson": 3.0}

@@ -10,6 +10,10 @@ when its outputs or its report SHA-256 differ from
 move, so this catches any change to a rendered byte or an event count.
 It only reads ``simbench/``.
 
+Each passing run's result line is also written, as ``{workload:
+result}``, to ``SIMBENCH.json`` at the repository root: the host-time
+snapshot ``presto trend`` compares across runs (CI uploads it).
+
 Invocation (wired up as ``make simbench-check`` and a CI job)::
 
     python tools/simbench_check.py
@@ -23,34 +27,55 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = ROOT / "SIMBENCH.json"
+
+
+def _parse(stdout: str) -> tuple:
+    """``(result, reason)``: the run's last-line JSON object (None if
+    there is none) and why it is not a passing verdict (empty if it
+    is)."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        return None, "no output"
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None, f"last line is not JSON: {lines[-1]!r}"
+    if not isinstance(result, dict):
+        return None, f"last line is not a JSON object: {lines[-1]!r}"
+    if result.get("correct") is not True or result.get("failed") != 0:
+        return result, (f"correct={result.get('correct')!r}, "
+                        f"failed={result.get('failed')!r}")
+    return result, ""
 
 
 def verdict(stdout: str) -> str:
     """Why a run's output is not a passing verdict (empty if it is)."""
-    lines = stdout.strip().splitlines()
-    if not lines:
-        return "no output"
-    try:
-        result = json.loads(lines[-1])
-    except json.JSONDecodeError:
-        return f"last line is not JSON: {lines[-1]!r}"
-    if not isinstance(result, dict):
-        return f"last line is not a JSON object: {lines[-1]!r}"
-    if result.get("correct") is not True or result.get("failed") != 0:
-        return (f"correct={result.get('correct')!r}, "
-                f"failed={result.get('failed')!r}")
-    return ""
+    return _parse(stdout)[1]
+
+
+def snapshot(stdouts: dict) -> dict:
+    """``{workload: result}`` of every passing run in ``stdouts``
+    (``workload -> stdout``): the ``SIMBENCH.json`` payload."""
+    snap = {}
+    for workload, stdout in stdouts.items():
+        result, reason = _parse(stdout)
+        if not reason:
+            snap[workload] = result
+    return snap
 
 
 def main() -> int:
     workloads = [workload["name"] for workload in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["workloads"]]
     failures = 0
+    stdouts = {}
     for workload in workloads:
         proc = subprocess.run(
             [sys.executable, "simbench/run.py", "--workload", workload,
              "--seconds", "0"],
             cwd=ROOT, capture_output=True, text=True)
+        stdouts[workload] = proc.stdout
         reason = verdict(proc.stdout)
         if proc.returncode != 0 and not reason:
             reason = f"exit status {proc.returncode}"
@@ -60,6 +85,9 @@ def main() -> int:
             sys.stdout.write(proc.stderr)
         else:
             print(f"ok   {workload}")
+    SNAPSHOT.write_text(json.dumps(snapshot(stdouts), indent=2,
+                                   sort_keys=True) + "\n")
+    print(f"wrote {SNAPSHOT.name}")
     return 1 if failures else 0
 
 
