@@ -29,10 +29,13 @@ PYTHONPATH := src
 #: Minimum line coverage (percent) of the measured subsystems.
 COVERAGE_FLOOR ?= 80
 
-.PHONY: test smoke sweep golden coverage coverage-diagnosis coverage-serve \
-	coverage-api coverage-ctl coverage-stream coverage-obs \
-	coverage-faults coverage-lint lint typecheck trace-smoke bench-check \
-	plan-examples simbench-check
+#: The repro subpackages with a coverage floor; `make coverage-<pkg>`
+#: measures one of them.
+COVERAGE_PACKAGES := diagnosis serve api ctl stream obs faults lint
+COVERAGE_TARGETS := $(addprefix coverage-,$(COVERAGE_PACKAGES))
+
+.PHONY: test smoke sweep golden coverage $(COVERAGE_TARGETS) lint \
+	typecheck trace-smoke bench-check plan-examples simbench-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -46,8 +49,7 @@ sweep:
 golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/golden --update-golden -q
 
-coverage: coverage-diagnosis coverage-serve coverage-api coverage-ctl \
-	coverage-stream coverage-obs coverage-faults coverage-lint
+coverage: $(COVERAGE_TARGETS)
 
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint
@@ -55,29 +57,8 @@ lint:
 typecheck:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/typecheck.py
 
-coverage-diagnosis:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --floor $(COVERAGE_FLOOR)
-
-coverage-serve:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.serve --floor $(COVERAGE_FLOOR)
-
-coverage-api:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.api --floor $(COVERAGE_FLOOR)
-
-coverage-ctl:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.ctl --floor $(COVERAGE_FLOOR)
-
-coverage-stream:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.stream --floor $(COVERAGE_FLOOR)
-
-coverage-obs:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.obs --floor $(COVERAGE_FLOOR)
-
-coverage-faults:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.faults --floor $(COVERAGE_FLOOR)
-
-coverage-lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.lint --floor $(COVERAGE_FLOOR)
+$(COVERAGE_TARGETS): coverage-%:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.$* --floor $(COVERAGE_FLOOR)
 
 trace-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/trace_smoke.py

@@ -97,8 +97,9 @@ def run_serve_scenario(name: str) -> dict:
     policies = {}
     for policy in spec["policies"]:
         trace = build_trace(**spec["trace"])
-        service = PreprocessingService(policy=policy, slots=spec["slots"],
-                                       tie_break=spec.get("tie_break"))
+        service = PreprocessingService(
+            policy=policy, slots=spec["slots"],
+            tie_break=spec.get("tie_break", "arrival"))
         report = service.run(trace)
         policies[policy] = {"events": report.events_processed,
                             "makespan_s": round(report.makespan, 3)}

@@ -126,20 +126,16 @@ class Session:
                            events_processed=events)
 
     def _telemetry_hooks(self):
-        """(metrics, interval, tracer) engine arguments for this run."""
+        """(metrics, tracer) engine arguments for this run."""
         telemetry = self._telemetry
         if telemetry is None or not telemetry.enabled:
-            return None, 60.0, None
-        from repro.obs import (DEFAULT_METRICS_INTERVAL, MetricsRegistry,
-                               Tracer)
-        metrics = None
-        interval = DEFAULT_METRICS_INTERVAL
-        if telemetry.metrics_interval is not None:
-            metrics = MetricsRegistry()
-            interval = telemetry.metrics_interval
+            return None, None
+        from repro.obs import MetricsRegistry, Tracer
+        metrics = (MetricsRegistry(interval=telemetry.metrics_interval)
+                   if telemetry.metrics_interval is not None else None)
         tracer = (Tracer(detail=telemetry.trace_detail)
                   if telemetry.trace else None)
-        return metrics, interval, tracer
+        return metrics, tracer
 
     def _attach_telemetry(self, artifact: RunArtifact, metrics,
                           tracer) -> RunArtifact:
@@ -289,13 +285,12 @@ class Session:
             events = sum(report.events_processed
                          for report in result.reports)
             return self._artifact(spec, frame, "\n".join(parts), events)
-        metrics, interval, tracer = self._telemetry_hooks()
+        metrics, tracer = self._telemetry_hooks()
         service = PreprocessingService(policy=serve.policy,
                                        slots=serve.slots,
                                        environment=environment,
                                        tie_break=serve.tie_break,
                                        metrics=metrics,
-                                       metrics_interval=interval,
                                        tracer=tracer,
                                        faults=spec.faults.to_plan(
                                            spec.seed,
@@ -316,7 +311,7 @@ class Session:
                                seed=spec.seed, epochs=spec.run.epochs,
                                threads=spec.run.threads,
                                fault_rate=control.fault_rate)
-        metrics, interval, tracer = self._telemetry_hooks()
+        metrics, tracer = self._telemetry_hooks()
         dispatcher = Dispatcher(policy=control.policy, slots=control.slots,
                                 environment=environment,
                                 tie_break=control.tie_break,
@@ -325,7 +320,6 @@ class Session:
                                 preempt=control.preempt,
                                 autoscale=control.autoscale_config(),
                                 metrics=metrics,
-                                metrics_interval=interval,
                                 tracer=tracer,
                                 faults=spec.faults.to_plan(
                                     spec.seed,
@@ -360,10 +354,9 @@ class Session:
             batch=stream.batch, workers=stream.workers,
             queue_bound=stream.queue_bound,
             slo_stretch=stream.slo_stretch, shed=stream.shed)
-        metrics, interval, tracer = self._telemetry_hooks()
+        metrics, tracer = self._telemetry_hooks()
         service = StreamingService(environment=environment,
                                    metrics=metrics,
-                                   metrics_interval=interval,
                                    tracer=tracer,
                                    faults=spec.faults.to_plan(
                                        spec.seed,

@@ -87,7 +87,6 @@ def partition_jobs(sample_count: int, threads: int,
 
 
 def build_cluster(environment: Environment, readers: int,
-                  tie_break: str = "admission",
                   ) -> tuple[Simulation, Machine, StorageCluster]:
     """A fresh simulation with the machine and storage cluster of
     ``environment``.
@@ -96,8 +95,7 @@ def build_cluster(environment: Environment, readers: int,
     readers are configured; the read link's per-stream rate is pinned to
     the fair share over ``readers`` so partially-idle readers do not
     transiently exceed it (matches the paper's measured per-strategy
-    network read speeds).  ``tie_break`` orders simultaneous link
-    completions (see :class:`~repro.sim.bandwidth.SharedBandwidth`).
+    network read speeds).
     """
     sim = Simulation()
     machine = Machine(
@@ -110,8 +108,7 @@ def build_cluster(environment: Environment, readers: int,
         dispatch_convoy=cal.DISPATCH_CONVOY,
         gil_convoy=cal.GIL_CONVOY)
     storage = environment.storage
-    cluster = StorageCluster(sim, storage, memory_link=machine.memory_link,
-                             tie_break=tie_break)
+    cluster = StorageCluster(sim, storage)
     cluster.read_link.per_stream_bw = storage.stream_share(readers)
     return sim, machine, cluster
 
@@ -473,8 +470,9 @@ class SimulatedBackend:
         hit each other's cached chunks, while distinct namespaces keep
         tenants' private copies isolated.  ``None`` keeps the historical
         single-job keys.  ``link_tag`` labels this job's storage-link
-        transfers for the link tie-break policy (the serve layer passes
-        the tenant id under ``tie_break="tenant"``).
+        transfers, which orders simultaneous completions on the link
+        (the serve layer passes the tenant id under its tenant
+        tie-break).
         """
         pipeline = plan.pipeline
         count = pipeline.sample_count

@@ -65,6 +65,7 @@ from repro.api import (ControlSpec, DiagnoseSpec, EnvironmentSpec,
 from repro.core.report import bottleneck_report
 from repro.datasets.catalog import table2_frame
 from repro.errors import ReproError
+from repro.obs.metrics import DEFAULT_METRICS_INTERVAL
 from repro.obs.trend import DEFAULT_METRIC, METRIC_DIRECTIONS
 from repro.pipelines.registry import PAPER_PIPELINES, get_pipeline
 from repro.sim.fio import run_fio
@@ -339,10 +340,11 @@ def _add_obs_options(parser: argparse.ArgumentParser,
                      dest="metrics_out",
                      help="sample sim-time metrics and write the "
                           "time-series JSON to FILE ('-' = stdout)")
-    obs.add_argument("--metrics-interval", type=float, default=60.0,
+    obs.add_argument("--metrics-interval", type=float,
+                     default=DEFAULT_METRICS_INTERVAL,
                      metavar="S", dest="metrics_interval",
-                     help="sim-seconds between metrics samples "
-                          "(default: 60)")
+                     help="sim-seconds between metrics samples, finite "
+                          "and positive (default: %(default)g)")
     obs.add_argument("--trace-out", metavar="FILE", default=None,
                      dest="trace_out",
                      help="record spans and write a Chrome trace-event "

@@ -109,21 +109,18 @@ class StrategyProfiler:
 
     ``jobs`` fans profiling out over a worker pool (``None``/1 keeps the
     serial reference behaviour), ``cache`` memoizes results across calls;
-    both are forwarded to the underlying sweep engine.  An explicit
-    ``engine`` overrides both.
+    both are forwarded to the underlying sweep engine.
     """
 
     def __init__(self, backend: Backend, runs_total: int = 1,
-                 jobs: Optional[int] = None, cache=None, engine=None):
+                 jobs: Optional[int] = None, cache=None):
         if runs_total < 1:
             raise ProfilingError("runs_total must be >= 1")
         self.backend = backend
         self.runs_total = runs_total
-        if engine is None:
-            from repro.exec.engine import SweepEngine
-            engine = SweepEngine(backend, executor=jobs, cache=cache,
-                                 runs_total=runs_total)
-        self.engine = engine
+        from repro.exec.engine import SweepEngine
+        self.engine = SweepEngine(backend, executor=jobs, cache=cache,
+                                  runs_total=runs_total)
 
     def profile_strategy(self, strategy: Strategy,
                          sample_count: Optional[int] = None,

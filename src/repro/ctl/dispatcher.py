@@ -101,20 +101,18 @@ class Dispatcher(PreprocessingService):
 
     def __init__(self, policy="fifo", slots: int = 2,
                  environment=None,
-                 tie_break: Optional[str] = None,
+                 tie_break: str = "arrival",
                  retry: Optional[RetryPolicy] = None,
                  admission_limit: Optional[int] = None,
                  preempt: bool = False,
                  autoscale: Optional[AutoscaleConfig] = None,
-                 metrics=None, metrics_interval: float = 60.0,
-                 tracer=None, faults=None,
+                 metrics=None, tracer=None, faults=None,
                  checkpoint_epochs: int = 0,
                  shed_slo: bool = False):
         super().__init__(policy=policy, slots=slots,
                          environment=environment,
                          tie_break=tie_break, metrics=metrics,
-                         metrics_interval=metrics_interval, tracer=tracer,
-                         faults=faults)
+                         tracer=tracer, faults=faults)
         if checkpoint_epochs < 0:
             raise ControlError(
                 f"checkpoint_epochs must be >= 0 (0 = no checkpoints, "

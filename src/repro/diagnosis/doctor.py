@@ -184,22 +184,20 @@ class BottleneckDoctor:
     """Profiles, attributes, recommends and verifies.
 
     ``jobs``/``cache`` mirror the sweep-engine knobs of the profiling
-    commands; an explicit ``engine`` overrides both.  The analytic
+    commands (the default backend is the simulated one).  The analytic
     ``model`` anchors rewrite predictions and supplies attribution for
     backends that measure no traces.
     """
 
     def __init__(self, backend: Optional[Backend] = None,
-                 jobs: Optional[int] = None, cache=None, engine=None,
+                 jobs: Optional[int] = None, cache=None,
                  model: Optional[AnalyticModel] = None):
-        if backend is None and engine is None:
+        if backend is None:
             from repro.backends.simulated import SimulatedBackend
             backend = SimulatedBackend()
-        if engine is None:
-            from repro.exec.engine import SweepEngine
-            engine = SweepEngine(backend, executor=jobs, cache=cache)
-        self.engine = engine
-        self.environment: Environment = engine.environment
+        from repro.exec.engine import SweepEngine
+        self.engine = SweepEngine(backend, executor=jobs, cache=cache)
+        self.environment: Environment = self.engine.environment
         self.model = model or AnalyticModel(self.environment)
 
     # -- diagnosis ----------------------------------------------------------

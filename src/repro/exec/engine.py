@@ -12,8 +12,8 @@ exact hidden preprocessing cost the paper warns about.  The
 * a content-addressed :class:`~repro.exec.cache.ProfileCache` keyed by
   (pipeline, strategy, environment, backend) fingerprints memoizes runs
   across calls -- and across processes when the cache is persistent;
-* :class:`~repro.exec.events.SweepEvent` records stream to listeners so
-  long sweeps are observable.
+* :class:`~repro.exec.events.SweepEvent` records stream to listeners
+  (:meth:`SweepEngine.add_listener`) so long sweeps are observable.
 
 :class:`~repro.core.profiler.StrategyProfiler` delegates here, so every
 existing caller picks up the engine transparently.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.backends.base import Backend, Environment, RunConfig, \
     StrategyRunResult
@@ -113,21 +113,14 @@ class SweepEngine:
     def __init__(self, backend: Backend,
                  executor: ExecutorSpec = None,
                  cache: Optional[ProfileCache] = None,
-                 runs_total: int = 1,
-                 listeners: Iterable[SweepListener] = (),
-                 trace_hook=None):
+                 runs_total: int = 1):
         if runs_total < 1:
             raise SweepError("runs_total must be >= 1")
         self.backend = backend
         self.executor = resolve_executor(executor)
         self.cache = cache
         self.runs_total = runs_total
-        self.listeners: list[SweepListener] = list(listeners)
-        #: Called as ``trace_hook(strategy, epoch_trace)`` for every
-        #: traced epoch a sweep produces (executed jobs *and* cache
-        #: hits), so diagnosis layers can collect resource traces
-        #: without re-running anything.
-        self.trace_hook = trace_hook
+        self.listeners: list[SweepListener] = []
         self.environment = getattr(backend, "environment", None) \
             or Environment()
 
@@ -139,15 +132,6 @@ class SweepEngine:
     def _emit(self, event: SweepEvent) -> None:
         for listener in self.listeners:
             listener(event)
-
-    def _emit_traces(self, strategy: Strategy,
-                     profile: StrategyProfile) -> None:
-        if self.trace_hook is None:
-            return
-        for run in profile.runs:
-            for epoch in run.epochs:
-                if epoch.trace is not None:
-                    self.trace_hook(strategy, epoch.trace)
 
     # -- profiling ---------------------------------------------------------
 
@@ -174,7 +158,6 @@ class SweepEngine:
                       if self.cache is not None and key is not None else None)
             if cached is not None:
                 profiles[index] = cached
-                self._emit_traces(strategy, cached)
                 self._emit(SweepEvent(
                     kind=CACHE_HIT, index=index + 1, total=total,
                     pipeline=strategy.pipeline_name, strategy=strategy.name,
@@ -198,7 +181,6 @@ class SweepEngine:
                 if self.cache is not None and key is not None:
                     self.cache.store(key, profile)
                 profiles[index] = profile
-                self._emit_traces(strategy, profile)
                 self._emit(SweepEvent(
                     kind=JOB_DONE, index=index + 1, total=total,
                     pipeline=strategy.pipeline_name, strategy=strategy.name,

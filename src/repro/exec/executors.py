@@ -89,9 +89,7 @@ ExecutorSpec = Union[None, int, str, SerialExecutor, _PoolExecutor]
 _NAMED = {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
-    "threads": ThreadExecutor,
     "process": ProcessExecutor,
-    "processes": ProcessExecutor,
 }
 
 
@@ -117,5 +115,5 @@ def resolve_executor(spec: ExecutorSpec = None):
         if name in _NAMED:
             return _NAMED[name]()
         raise SweepError(
-            f"unknown executor {spec!r}; known: {sorted(set(_NAMED))}")
+            f"unknown executor {spec!r}; known: {sorted(_NAMED)}")
     raise SweepError(f"invalid executor spec: {spec!r}")

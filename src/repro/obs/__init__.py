@@ -28,20 +28,19 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .follow import LedgerFollower
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import (DEFAULT_METRICS_INTERVAL, Counter, Gauge, Histogram,
+                      MetricsRegistry)
 from .tracing import Span, Tracer, validate_chrome_trace
 from .trend import TrendPoint, TrendReport, analyze, analyze_files
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "DEFAULT_METRICS_INTERVAL",
     "Span", "Tracer", "validate_chrome_trace",
     "LedgerFollower",
     "TrendPoint", "TrendReport", "analyze", "analyze_files",
     "Telemetry",
 ]
-
-#: Default sim-seconds between metrics samples.
-DEFAULT_METRICS_INTERVAL = 60.0
 
 
 @dataclass

@@ -3,7 +3,8 @@
 The registry is *passive*: it never schedules DES events by itself.  A
 workload engine that was handed a registry runs on a
 :class:`~repro.serve.runtime.ClusterRuntime`, whose one sampler process
-calls :meth:`MetricsRegistry.snapshot` on the simulation clock; with no
+calls :meth:`MetricsRegistry.snapshot` every
+:attr:`MetricsRegistry.interval` seconds of the simulation clock; with no
 registry attached the engines schedule **zero** extra events, which is
 the invariant the differential tests in ``tests/obs`` pin.
 
@@ -16,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+from ..errors import ObservabilityError
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+           "DEFAULT_METRICS_INTERVAL"]
+
+#: Default sim-seconds between metrics samples.
+DEFAULT_METRICS_INTERVAL = 60.0
 
 
 @dataclass
@@ -91,9 +98,17 @@ class MetricsRegistry:
     ``snapshot(now)`` appends one ``{"t": now, "values": {...}}`` sample
     holding every counter and gauge value at that instant.  Histograms
     are cumulative and exported once, in :meth:`to_dict`.
+    ``interval`` is the simulated seconds between samples; it must be
+    finite and positive, since the sampler schedules a timeout of that
+    length on the simulation clock.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, interval: float = DEFAULT_METRICS_INTERVAL) -> None:
+        if not 0.0 < interval < float("inf"):
+            raise ObservabilityError(
+                f"metrics interval must be finite and positive, "
+                f"got {interval!r}")
+        self.interval = interval
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}

@@ -98,14 +98,15 @@ class TrendReport:
         lines = [f"simbench trend: {self.metric} across "
                  f"{' -> '.join(self.labels)}",
                  self.to_markdown()]
+        bound = ("(any change)" if METRIC_DIRECTIONS[self.metric] == "any"
+                 else f"beyond {self.threshold_pct:.1f}%")
         if self.regressions:
-            lines.append(f"{len(self.regressions)} regression(s) beyond "
-                         f"{self.threshold_pct:.1f}%:")
+            lines.append(f"{len(self.regressions)} regression(s) {bound}:")
             for point in self.regressions:
                 lines.append(f"  {point.workload}: {point.before:.3f} -> "
                              f"{point.after:.3f} ({point.delta_pct:+.2f}%)")
         else:
-            lines.append(f"no regressions beyond {self.threshold_pct:.1f}%")
+            lines.append(f"no regressions {bound}")
         return "\n".join(lines)
 
 
@@ -150,6 +151,10 @@ def analyze(snapshots: Sequence[dict], labels: Sequence[str],
     if len(snapshots) < 2:
         raise ObservabilityError(
             "trend analysis needs at least two snapshots")
+    if len(labels) != len(snapshots):
+        raise ObservabilityError(
+            f"trend analysis needs one label per snapshot: got "
+            f"{len(labels)} label(s) for {len(snapshots)} snapshots")
     direction = METRIC_DIRECTIONS[metric]
     report = TrendReport(metric=metric, labels=list(labels),
                          threshold_pct=threshold_pct)

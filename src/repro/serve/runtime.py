@@ -38,19 +38,16 @@ class ClusterRuntime:
     """One simulated cluster, the faults injected into it and its sampler.
 
     ``readers`` sets the link's fair per-stream read share (see
-    :func:`~repro.backends.simulated.build_cluster`); ``tie_break`` is
-    the storage links' order for simultaneous completions.
+    :func:`~repro.backends.simulated.build_cluster`).  The sampler ticks
+    every ``metrics.interval`` simulated seconds.
     """
 
     def __init__(self, environment: Environment, readers: int,
-                 tie_break: str = "admission", faults=None,
-                 metrics=None, metrics_interval: float = 60.0,
-                 tracer=None):
+                 faults=None, metrics=None, tracer=None):
         self.environment = environment
         self.sim, self.machine, self.cluster = build_cluster(
-            environment, readers, tie_break)
+            environment, readers)
         self.metrics = metrics
-        self.metrics_interval = metrics_interval
         self.fault_engine = None
         if faults:
             from repro.faults.engine import FaultEngine
@@ -87,7 +84,7 @@ class ClusterRuntime:
                  ) -> Generator[Event, None, None]:
         sim = self.sim
         registry = self.metrics
-        interval = self.metrics_interval
+        interval = registry.interval
         while live():
             yield sim.timeout(interval)
             sample(registry)

@@ -273,29 +273,23 @@ class PreprocessingService:
     def __init__(self, policy="fifo", slots: int = 2,
                  environment: Optional[Environment] = None,
                  materialize_offline: bool = True,
-                 tie_break: Optional[str] = None,
-                 metrics=None, metrics_interval: float = 60.0,
-                 tracer=None, faults=None):
+                 tie_break: str = "arrival",
+                 metrics=None, tracer=None, faults=None):
         if slots < 1:
             raise ProfilingError("need at least one execution slot")
-        if metrics is not None and metrics_interval <= 0:
+        if tie_break not in ("arrival", "tenant"):
             raise ProfilingError(
-                f"metrics_interval must be positive, got {metrics_interval}")
-        if tie_break == "arrival":
-            tie_break = None  # the CLI/spec spelling of the default
-        if tie_break not in (None, "tenant"):
-            raise ProfilingError(
-                f"tie_break must be None, 'arrival' or 'tenant', "
+                f"tie_break must be 'arrival' or 'tenant', "
                 f"got {tie_break!r}")
         self.policy: SchedulerPolicy = get_policy(policy)
         self.slots = slots
         self.environment = environment or Environment()
         self.backend = SimulatedBackend(self.environment, tracer=tracer)
-        #: ``"tenant"`` orders mathematically simultaneous storage-link
-        #: completions by (timestamp, tenant id) instead of admission
-        #: order, pinning knife-edge thrash scenarios (serve64_hot_raw)
-        #: to stable identities under future kernel changes.  ``None``
-        #: (alias ``"arrival"``, the CLI/spec spelling) keeps the
+        #: ``"tenant"`` tags every storage transfer with its tenant id, so
+        #: the link completes mathematically simultaneous transfers in
+        #: (tenant id, admission) order, pinning knife-edge thrash
+        #: scenarios (serve64_hot_raw) to stable identities under future
+        #: kernel changes.  ``"arrival"`` leaves transfers untagged: the
         #: historical admission-order behaviour.
         self.tie_break = tie_break
         #: ``False`` serves pre-materialised artifacts (fan-out studies):
@@ -305,7 +299,6 @@ class PreprocessingService:
         #: with them off the service schedules zero extra events and the
         #: goldens stay byte-identical (tests/obs/test_obs_differential.py).
         self.metrics = metrics
-        self.metrics_interval = metrics_interval
         self.tracer = tracer
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``.  With no plan the engine is never constructed and
@@ -361,9 +354,8 @@ class PreprocessingService:
         runtime = ClusterRuntime(
             self.environment,
             readers=max(job.config.threads for job in jobs),
-            tie_break="tag" if self.tie_break == "tenant" else "admission",
             faults=self.fault_plan, metrics=self.metrics,
-            metrics_interval=self.metrics_interval, tracer=self.tracer)
+            tracer=self.tracer)
         self._runtime = runtime
         self._sim = runtime.sim
         self._machine = runtime.machine
@@ -543,7 +535,8 @@ class PreprocessingService:
         return self._dedup_key(job)
 
     def _link_tag(self, job: TenantJob) -> str:
-        """Storage-link transfer label under the tenant tie-break."""
+        """Storage-link transfer label: the tenant id under the tenant
+        tie-break, untagged (admission order) otherwise."""
         return job.spec.tenant if self.tie_break == "tenant" else ""
 
     # -- scheduling ----------------------------------------------------------

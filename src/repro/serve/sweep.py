@@ -60,7 +60,7 @@ def sweep_policies(jobs: Sequence[JobSpec],
                    policies: Sequence[str] = POLICY_NAMES,
                    slots: int = 2,
                    environment: Optional[Environment] = None,
-                   tie_break: Optional[str] = None) -> PolicySweepResult:
+                   tie_break: str = "arrival") -> PolicySweepResult:
     """Run ``jobs`` under every policy; results in ``policies`` order."""
     return PolicySweepResult(reports=[
         PreprocessingService(policy=policy, slots=slots,

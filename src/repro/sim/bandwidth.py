@@ -52,12 +52,9 @@ _EPSILON_BYTES = 1e-6
 #: admitted_progress, nbytes, event, tag) tuples).
 _BY_ADMISSION = itemgetter(1)
 
-#: Tag-then-admission key for the explicit deterministic tie-break
+#: Tag-then-admission key for batches of simultaneous completions
 #: (untagged transfers sort first, amongst themselves by admission).
 _BY_TAG = itemgetter(5, 1)
-
-#: Batch-completion orderings for mathematically simultaneous finishes.
-TIE_BREAKS = ("admission", "tag")
 
 
 class SharedBandwidth:
@@ -73,42 +70,35 @@ class SharedBandwidth:
       including the pro-rata progress of in-flight transfers at the
       current simulated time; zero-byte transfers contribute nothing.
 
-    ``tie_break`` picks the completion order *within* a batch of
-    mathematically simultaneous finishes (equal thresholds up to float
-    rounding -- the knife-edge page-cache-thrash regime of
-    docs/performance.md).  ``"admission"`` (default) completes them in
-    arrival order, matching the historical active-list rescan;
-    ``"tag"`` orders by the caller-supplied :meth:`transfer` tag (e.g.
-    the tenant id) so the outcome of knife-edge scenarios is pinned to
-    stable identities instead of float ulps and stays reproducible
-    under future kernel changes.
+    A batch of mathematically simultaneous finishes (equal thresholds
+    up to float rounding -- the knife-edge page-cache-thrash regime of
+    docs/performance.md) completes in ``(tag, admission)`` order, where
+    the tag is the caller-supplied :meth:`transfer` label.  Untagged
+    transfers therefore complete in arrival order, matching the
+    historical active-list rescan; a caller that tags transfers with a
+    stable identity (the serve layer's tenant id) pins the outcome of
+    knife-edge scenarios to that identity instead of float ulps, so it
+    stays reproducible under future kernel changes.
     """
 
     __slots__ = ("sim", "name", "aggregate_bw", "per_stream_bw", "_heap",
                  "_admissions", "_progress", "_last_update", "_rate",
                  "_wake_event", "_wake_threshold", "_wake_cb",
                  "_completed_bytes", "_admit_sum", "total_transfers",
-                 "peak_streams", "tie_break", "_batch_key", "_fault")
+                 "peak_streams", "_fault")
 
     def __init__(self, sim: Simulation, aggregate_bw: float,
-                 per_stream_bw: Optional[float] = None, name: str = "link",
-                 tie_break: str = "admission"):
+                 per_stream_bw: Optional[float] = None, name: str = "link"):
         if aggregate_bw <= 0:
             raise SimulationError("aggregate bandwidth must be positive")
         if per_stream_bw is not None and per_stream_bw <= 0:
             raise SimulationError("per-stream bandwidth must be positive")
-        if tie_break not in TIE_BREAKS:
-            raise SimulationError(
-                f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
         self.sim = sim
         self.name = name
-        self.tie_break = tie_break
-        self._batch_key = (_BY_ADMISSION if tie_break == "admission"
-                           else _BY_TAG)
         self.aggregate_bw = float(aggregate_bw)
         self.per_stream_bw = float(per_stream_bw or aggregate_bw)
         #: Min-heap of (threshold, admission, admitted_progress, nbytes,
-        #: event); the head is the next transfer to complete.
+        #: event, tag); the head is the next transfer to complete.
         self._heap: list[tuple] = []
         self._admissions = 0
         #: The per-stream progress integral P(t), rebased to 0 whenever
@@ -165,11 +155,11 @@ class SharedBandwidth:
     def transfer(self, nbytes: float, tag: str = "") -> Event:
         """Start moving ``nbytes``; the returned event fires on completion.
 
-        ``tag`` labels the transfer for the ``"tag"`` tie-break policy
-        (ignored under ``"admission"``); untagged transfers share the
-        empty label and fall back to admission order among themselves.
+        ``tag`` orders the transfer within a batch of simultaneous
+        completions; untagged transfers share the empty label and fall
+        back to admission order among themselves.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
         event = Event(self.sim)
         self.total_transfers += 1
@@ -317,11 +307,11 @@ class SharedBandwidth:
         while heap and heap[0][0] <= cutoff:
             finished.append(heappop(heap))
         if len(finished) > 1:
-            # Complete batches in tie-break order: admission (default)
-            # matches the historical active-list scan; tag order pins
+            # Complete batches in (tag, admission) order: untagged
+            # batches match the historical active-list scan; tags pin
             # knife-edge scenarios to stable identities.  Heap order
             # would rank ulp-level threshold differences above either.
-            finished.sort(key=self._batch_key)
+            finished.sort(key=_BY_TAG)
         completed = self._completed_bytes
         admit_sum = self._admit_sum
         for item in finished:

@@ -105,7 +105,7 @@ class Event:
         sim = self.sim
         sim._sequence += 1
         if delay:
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(
                     f"cannot schedule into the past: {delay}")
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
@@ -126,7 +126,7 @@ class Event:
         sim = self.sim
         sim._sequence += 1
         if delay:
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(
                     f"cannot schedule into the past: {delay}")
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
@@ -156,7 +156,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulation", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout: {delay}")
         # Inlined Event.__init__ + scheduling: timeouts are the single most
         # allocated object in a run, and the super().__init__ chain plus a

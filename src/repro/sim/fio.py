@@ -65,15 +65,11 @@ TABLE3_WORKLOADS = (
 )
 
 
-def _reader(cluster: StorageCluster, thread_id: int, workload: FioWorkload
+def _reader(cluster: StorageCluster, workload: FioWorkload
             ) -> Generator[Event, None, None]:
-    for file_index in range(workload.files_per_thread):
-        yield from cluster.read(
-            key=("fio", thread_id, file_index),
-            nbytes=workload.file_bytes,
-            open_file=not workload.is_sequential,
-            pipeline_path=False,
-        )
+    for _ in range(workload.files_per_thread):
+        yield from cluster.read(workload.file_bytes,
+                                open_file=not workload.is_sequential)
 
 
 def run_workload(profile: DeviceProfile, workload: FioWorkload) -> FioResult:
@@ -81,7 +77,7 @@ def run_workload(profile: DeviceProfile, workload: FioWorkload) -> FioResult:
     sim = Simulation()
     cluster = StorageCluster(sim, profile)
     threads = [
-        sim.process(_reader(cluster, i, workload), name=f"fio-{i}")
+        sim.process(_reader(cluster, workload), name=f"fio-{i}")
         for i in range(workload.threads)
     ]
 

@@ -108,7 +108,7 @@ class Resource:
 
     def held_for(self, seconds: float) -> HoldRequest:
         """A request to yield: acquire a slot, hold it ``seconds``, release."""
-        if seconds < 0:
+        if not seconds >= 0:
             raise SimulationError(f"negative hold: {seconds}")
         return (self, seconds, None)
 
@@ -137,7 +137,7 @@ class Lock(Resource):
         A job of k samples holds the lock once but still pays k convoy
         penalties, so batching samples does not dilute contention.
         """
-        if per_unit < 0 or units < 0:
+        if not (per_unit >= 0 and units >= 0):
             raise SimulationError(
                 f"negative hold: {units} x {per_unit}")
         return (self, per_unit, units)

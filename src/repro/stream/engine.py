@@ -83,16 +83,11 @@ class StreamingService:
     """Run tenant request streams on one shared simulated cluster."""
 
     def __init__(self, environment: Optional[Environment] = None,
-                 metrics=None, metrics_interval: float = 60.0,
-                 tracer=None, faults=None):
-        if metrics is not None and metrics_interval <= 0:
-            raise ProfilingError(
-                f"metrics_interval must be positive, got {metrics_interval}")
+                 metrics=None, tracer=None, faults=None):
         self.environment = environment or Environment()
         #: Telemetry hooks (:mod:`repro.obs`); null by default, and with
         #: them off the stream schedules zero extra kernel events.
         self.metrics = metrics
-        self.metrics_interval = metrics_interval
         self.tracer = tracer
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``; with no plan the run schedules zero extra events.
@@ -128,7 +123,7 @@ class StreamingService:
             self.environment,
             readers=max(spec.workers for spec in streams),
             faults=self.fault_plan, metrics=self.metrics,
-            metrics_interval=self.metrics_interval, tracer=self.tracer)
+            tracer=self.tracer)
         self._runtime = runtime
         sim = self._sim = runtime.sim
         open_latency = self.environment.storage.pipeline_open_latency

@@ -15,7 +15,7 @@ from repro.serve import PreprocessingService, generate_trace
 
 
 def _run_pair(policy="fair-share", slots=2, tenants=5, seed=7,
-              trace_kind="steady", tie_break=None):
+              trace_kind="steady", tie_break="arrival"):
     trace = generate_trace(trace_kind, tenants=tenants, seed=seed)
     plain = PreprocessingService(policy=policy, slots=slots,
                                  tie_break=tie_break).run(trace)
@@ -36,7 +36,7 @@ class TestLibraryDifferential:
 
     def test_differential_holds_across_policies_and_traces(self):
         for policy, trace_kind, tie_break in (
-                ("fifo", "bursty", None),
+                ("fifo", "bursty", "arrival"),
                 ("cache-aware", "steady", "tenant")):
             plain, control = _run_pair(policy=policy,
                                        trace_kind=trace_kind,

@@ -6,7 +6,6 @@ from repro.backends.base import RunConfig
 from repro.backends.simulated import SimulatedBackend
 from repro.diagnosis import BottleneckDoctor, verification_report
 from repro.errors import DiagnosisError
-from repro.exec.engine import SweepEngine
 from repro.pipelines.registry import get_pipeline, registered_names
 from repro.pipelines.synthetic import (build_read_sweep_pipeline,
                                        build_rms_sweep_pipeline)
@@ -133,20 +132,6 @@ class TestFallbacksAndPlumbing:
             strategy.profile.result.epochs[0].samples
             for strategy in diagnosis.strategies}
         assert sample_counts == {500}
-
-    def test_engine_trace_hook_fires_for_jobs_and_cache_hits(self):
-        from repro.exec.cache import ProfileCache
-        collected = []
-        engine = SweepEngine(
-            SimulatedBackend(), cache=ProfileCache(),
-            trace_hook=lambda strategy, trace: collected.append(
-                (strategy.uid, trace)))
-        engine.profile_pipeline(get_pipeline("MP3"))
-        executed = len(collected)
-        assert executed >= 3  # one per strategy at least
-        engine.profile_pipeline(get_pipeline("MP3"))  # all cache hits
-        assert len(collected) == 2 * executed
-        assert all(trace.duration > 0 for _, trace in collected)
 
     def test_best_returns_highest_throughput_strategy(self, doctor):
         diagnosis = doctor.diagnose(get_pipeline("MP3"))

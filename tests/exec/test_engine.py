@@ -156,8 +156,8 @@ class TestEngineCache:
 class TestEvents:
     def test_event_stream_shape(self):
         events = []
-        engine = SweepEngine(BACKEND, cache=ProfileCache(),
-                             listeners=[events.append])
+        engine = SweepEngine(BACKEND, cache=ProfileCache())
+        engine.add_listener(events.append)
         engine.profile_pipeline(get_pipeline("MP3"))
         kinds = [event.kind for event in events]
         assert kinds[0] == SWEEP_START
@@ -172,7 +172,8 @@ class TestEvents:
 
     def test_events_carry_identity(self):
         events = []
-        engine = SweepEngine(BACKEND, listeners=[events.append])
+        engine = SweepEngine(BACKEND)
+        engine.add_listener(events.append)
         engine.profile_pipeline(get_pipeline("FLAC"))
         done = [event for event in events if event.kind == JOB_DONE]
         assert {event.pipeline for event in done} == {"FLAC"}

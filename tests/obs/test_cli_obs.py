@@ -49,6 +49,20 @@ class TestExports:
                          "--metrics-out", str(tmp_path / "m.json")]) == 0
             assert capsys.readouterr().out == baseline
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [SERVE, CTL, STREAM],
+                             ids=["serve", "ctl", "stream"])
+    def test_bad_metrics_interval_is_a_clean_error(self, argv, interval,
+                                                   capsys):
+        """A NaN or infinite sampler timeout would corrupt the kernel
+        heap and change the simulated report; it exits 2 instead."""
+        assert main([*argv, "--metrics-out", "-",
+                     "--metrics-interval", interval]) == 2
+        captured = capsys.readouterr()
+        assert "presto: error" in captured.err
+        assert "finite and positive" in captured.err
+        assert captured.out == ""
+
     def test_policy_comparison_rejects_telemetry(self, tmp_path, capsys):
         argv = ["serve", "--tenants", "2", "--policy", "all",
                 "--trace-out", str(tmp_path / "t.json")]
@@ -152,6 +166,16 @@ class TestTrendCommand:
         bogus.write_text("{}")
         assert main(["trend", str(bogus), str(bogus)]) == 2
         assert "presto: error" in capsys.readouterr().err
+
+    def test_label_count_mismatch_is_a_clean_error(self, series,
+                                                   tmp_path, capsys):
+        third = tmp_path / "C.json"
+        third.write_text(json.dumps(self._snapshot(wall=2.0)))
+        assert main(["trend", *series, str(third), "--labels", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "presto: error" in err
+        assert "one label per snapshot" in err
+        assert main(["trend", *series, "--labels", "x", "y"]) == 0
 
     def test_bench_serve_snapshot_is_a_clean_error(self, tmp_path, capsys):
         """The retired wall-clock snapshot shape is not a trend input."""

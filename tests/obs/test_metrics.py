@@ -92,9 +92,8 @@ class TestSamplerIntegration:
     def test_serve_sampler_produces_periodic_snapshots(self):
         from repro.serve.jobs import generate_trace
         from repro.serve.service import PreprocessingService
-        registry = MetricsRegistry()
-        service = PreprocessingService(metrics=registry,
-                                       metrics_interval=300.0)
+        registry = MetricsRegistry(interval=300.0)
+        service = PreprocessingService(metrics=registry)
         report = service.run(generate_trace("steady", tenants=2, seed=0))
         assert registry.samples, "sampler produced no snapshots"
         times = [sample["t"] for sample in registry.samples]
@@ -109,8 +108,16 @@ class TestSamplerIntegration:
             assert name in values
 
     def test_serve_rejects_bad_interval(self):
-        from repro.errors import ProfilingError
-        from repro.serve.service import PreprocessingService
-        with pytest.raises(ProfilingError):
-            PreprocessingService(metrics=MetricsRegistry(),
-                                 metrics_interval=0.0)
+        """The registry owns the sampling interval and refuses one the
+        sampler could not schedule: a NaN or infinite timeout would
+        corrupt the kernel heap."""
+        from repro.errors import ObservabilityError
+        for interval in (0.0, -0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ObservabilityError,
+                               match="finite and positive"):
+                MetricsRegistry(interval=interval)
+
+    def test_registry_owns_the_default_interval(self):
+        from repro.obs import DEFAULT_METRICS_INTERVAL
+        assert MetricsRegistry().interval == DEFAULT_METRICS_INTERVAL
+        assert MetricsRegistry(interval=0.5).interval == 0.5

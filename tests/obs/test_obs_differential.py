@@ -85,22 +85,21 @@ class TestMetricsSamplingIsReportFree:
     def test_serve(self):
         baseline = PreprocessingService().run(serve_jobs())
         observed = PreprocessingService(
-            metrics=MetricsRegistry(), metrics_interval=120.0).run(
-                serve_jobs())
+            metrics=MetricsRegistry(interval=120.0)).run(serve_jobs())
         assert render_serve(observed) == render_serve(baseline)
         assert observed.makespan == baseline.makespan
 
     def test_ctl(self):
         baseline = Dispatcher().run(ctl_jobs())
-        observed = Dispatcher(metrics=MetricsRegistry(),
-                              metrics_interval=120.0).run(ctl_jobs())
+        observed = Dispatcher(
+            metrics=MetricsRegistry(interval=120.0)).run(ctl_jobs())
         assert observed.ledger.describe() == baseline.ledger.describe()
         assert observed.service.makespan == baseline.service.makespan
 
     def test_stream(self):
         baseline = StreamingService().run(streams(), seed=0)
-        observed = StreamingService(metrics=MetricsRegistry(),
-                                    metrics_interval=60.0).run(streams(), seed=0)
+        observed = StreamingService(
+            metrics=MetricsRegistry(interval=60.0)).run(streams(), seed=0)
         assert stream_table(observed).to_markdown() \
             == stream_table(baseline).to_markdown()
         assert observed.p99_latency == baseline.p99_latency
@@ -128,10 +127,9 @@ def _sha256(text: str) -> str:
 
 
 def _metrics_serve():
-    registry = MetricsRegistry()
+    registry = MetricsRegistry(interval=120.0)
     report = PreprocessingService(
-        policy="cache-aware", metrics=registry,
-        metrics_interval=120.0).run(serve_jobs())
+        policy="cache-aware", metrics=registry).run(serve_jobs())
     return registry, report, render_serve(report)
 
 
@@ -141,9 +139,9 @@ def _metrics_ctl():
     jobs = generate_trace("bursty", tenants=6, seed=5, fault_rate=0.5)
     plan = generate_fault_plan(3, 3708.0, stragglers=1, slowdowns=1,
                                brownouts=1, blackouts=1, crash_windows=1)
-    registry = MetricsRegistry()
+    registry = MetricsRegistry(interval=120.0)
     dispatcher = Dispatcher(
-        slots=1, metrics=registry, metrics_interval=120.0,
+        slots=1, metrics=registry,
         autoscale=AutoscaleConfig(min_slots=1, max_slots=4,
                                   interval=300.0),
         faults=plan, shed_slo=True)
@@ -159,18 +157,16 @@ def _render_stream(report) -> str:
 
 
 def _metrics_stream():
-    registry = MetricsRegistry()
-    report = StreamingService(metrics=registry,
-                              metrics_interval=60.0).run(streams(), seed=0)
+    registry = MetricsRegistry(interval=60.0)
+    report = StreamingService(metrics=registry).run(streams(), seed=0)
     return registry, report, _render_stream(report)
 
 
 def _metrics_stream_brownout_shed():
     plan = FaultPlan(brownouts=(Brownout(start=5.0, duration=15.0,
                                          factor=4.0),))
-    registry = MetricsRegistry()
-    report = StreamingService(metrics=registry, metrics_interval=5.0,
-                              faults=plan).run(
+    registry = MetricsRegistry(interval=5.0)
+    report = StreamingService(metrics=registry, faults=plan).run(
         generate_stream(tenants=2, seed=0, arrival="burst", requests=8,
                         shed=True), seed=0)
     assert report.total_slo_shed > 0 and report.fault_events

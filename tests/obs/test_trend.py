@@ -93,6 +93,28 @@ class TestAnalyze:
         with pytest.raises(ObservabilityError, match="two"):
             analyze([snapshot()], ["A"])
 
+    def test_rejects_a_label_count_that_differs_from_the_snapshots(self):
+        series = [snapshot(), snapshot(), snapshot()]
+        for labels in (["x"], ["A", "B"], ["A", "B", "C", "D"]):
+            with pytest.raises(ObservabilityError,
+                               match="one label per snapshot"):
+                analyze(series, labels)
+
+    def test_describe_names_the_bound_of_each_direction(self):
+        """``events_per_unit`` flags any change, so its summary must
+        not quote the percentage threshold it never applies."""
+        before, after = snapshot(), snapshot(events=1000.5)
+        exact = analyze([before, after], ["A", "B"],
+                        metric="events_per_unit").describe()
+        assert "3 regression(s) (any change):" in exact
+        assert "beyond" not in exact
+        steady = analyze([before, before], ["A", "B"],
+                         metric="events_per_unit").describe()
+        assert steady.endswith("no regressions (any change)")
+        wall = analyze([before, snapshot(serve_wall=2.5)],
+                       ["A", "B"]).describe()
+        assert "1 regression(s) beyond 5.0%:" in wall
+
     def test_known_metrics_have_directions(self):
         assert set(METRIC_DIRECTIONS.values()) <= {"up", "any"}
         end_to_end = {entry["name"] for entry in json.loads(

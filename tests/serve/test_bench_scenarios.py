@@ -93,5 +93,5 @@ class TestScaledHotRaw:
 
     def test_tie_break_changes_the_schedule(self):
         """The tenant tie-break is live: arrival ordering differs."""
-        assert self._run(None).makespan == pytest.approx(2963.643,
-                                                         abs=1e-3)
+        assert self._run("arrival").makespan == pytest.approx(
+            2963.643, abs=1e-3)

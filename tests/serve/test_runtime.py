@@ -96,8 +96,8 @@ class TestNullDefaults:
 
 class TestSampler:
     def test_samples_while_live_then_stops(self):
-        registry = MetricsRegistry()
-        runtime = _runtime(metrics=registry, metrics_interval=1.0)
+        registry = MetricsRegistry(interval=1.0)
+        runtime = _runtime(metrics=registry)
         sim = runtime.sim
         state = {"live": True}
 
@@ -117,10 +117,9 @@ class TestSampler:
             == "link.active_streams"
 
     def test_fault_gauges_and_stamp_with_a_plan(self):
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(interval=1.0)
         plan = FaultPlan(brownouts=(Brownout(start=0.5, duration=1.0),))
-        runtime = _runtime(faults=plan, metrics=registry,
-                           metrics_interval=1.0)
+        runtime = _runtime(faults=plan, metrics=registry)
         sim = runtime.sim
 
         def work():

@@ -188,11 +188,60 @@ class TestTenantTieBreak:
             PreprocessingService(tie_break="random")
 
     def test_arrival_is_an_alias_for_the_default(self):
-        """The CLI/spec spelling works at the library layer too."""
-        assert PreprocessingService(tie_break="arrival").tie_break is None
-        assert PreprocessingService().tie_break is None
+        """The library speaks the CLI/spec spelling: ``"arrival"`` is
+        the default and the only other value is ``"tenant"``."""
+        assert PreprocessingService(tie_break="arrival").tie_break \
+            == "arrival"
+        assert PreprocessingService().tie_break == "arrival"
         assert PreprocessingService(tie_break="tenant").tie_break \
             == "tenant"
+        with pytest.raises(ProfilingError, match="tie_break"):
+            PreprocessingService(tie_break=None)
+
+    @staticmethod
+    def _storage_tags(monkeypatch, run):
+        """Tags of every storage-link transfer ``run()`` makes."""
+        from repro.backends.base import Environment
+        from repro.sim.bandwidth import SharedBandwidth
+        prefix = Environment().storage.name + "-"
+        tags = []
+        transfer = SharedBandwidth.transfer
+
+        def spy(link, nbytes, tag=""):
+            if link.name.startswith(prefix):
+                tags.append(tag)
+            return transfer(link, nbytes, tag)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SharedBandwidth, "transfer", spy)
+            run()
+        assert tags, "the run moved no bytes over the storage links"
+        return tags
+
+    def test_only_the_tenant_tie_break_tags_storage_transfers(
+            self, monkeypatch):
+        """The link always orders simultaneous completions by (tag,
+        admission); the tie-break is decided by the tags the service
+        sends.  Under ``arrival`` serve and stream runs send only
+        untagged storage transfers (so the link completes a batch in
+        admission order); under ``tenant`` every storage transfer
+        carries its job's tenant id."""
+        from repro.stream import StreamingService, generate_stream
+        trace = bursty_trace(tenants=3, seed=0, epochs=1)
+        tenants = {spec.tenant for spec in trace}
+        arrival = self._storage_tags(
+            monkeypatch, lambda: PreprocessingService(slots=2).run(trace))
+        assert set(arrival) == {""}
+        streams = generate_stream(tenants=2, seed=0, requests=8)
+        stream = self._storage_tags(
+            monkeypatch,
+            lambda: StreamingService().run(streams, seed=0))
+        assert set(stream) == {""}
+        tenant = self._storage_tags(
+            monkeypatch, lambda: PreprocessingService(
+                slots=2, tie_break="tenant").run(trace))
+        assert set(tenant) == tenants
+        assert len(tenant) == len(arrival)
 
     def test_tenant_tie_break_pins_knife_edge_runs(self):
         """Full co-tenancy on one hot raw artifact (the page-cache

@@ -195,12 +195,12 @@ def test_equal_transfers_complete_together_in_admission_order():
 
 
 def test_tag_tie_break_orders_simultaneous_completions_by_tag():
-    """Under tie_break="tag", a batch of mathematically simultaneous
-    completions resolves in (timestamp, tag) order -- tenant identity,
-    not admission order or float ulps, decides knife-edge scenarios."""
+    """A batch of mathematically simultaneous tagged completions
+    resolves in (tag, admission) order -- tenant identity, not
+    admission order or float ulps, decides knife-edge scenarios."""
     sim = Simulation()
     link = SharedBandwidth(sim, aggregate_bw=80 * MB,
-                           per_stream_bw=20 * MB, tie_break="tag")
+                           per_stream_bw=20 * MB)
     order = []
 
     def proc(tag):
@@ -220,7 +220,7 @@ def test_tag_tie_break_orders_simultaneous_completions_by_tag():
 def test_tag_tie_break_falls_back_to_admission_within_a_tag():
     sim = Simulation()
     link = SharedBandwidth(sim, aggregate_bw=80 * MB,
-                           per_stream_bw=20 * MB, tie_break="tag")
+                           per_stream_bw=20 * MB)
     order = []
 
     def proc(tag, index):
@@ -236,57 +236,34 @@ def test_tag_tie_break_falls_back_to_admission_within_a_tag():
     assert order == [("a", 1), ("a", 3), ("b", 0), ("b", 2)]
 
 
-def test_default_tie_break_ignores_tags():
-    """Admission mode is byte-compatible: tags ride along unused."""
-    sim = Simulation()
-    link = SharedBandwidth(sim, aggregate_bw=80 * MB,
-                           per_stream_bw=20 * MB)
-    order = []
-
-    def proc(tag):
-        yield link.transfer(20 * MB, tag)
-        order.append(tag)
-
-    def main():
-        yield all_of(sim, [sim.process(proc(tag))
-                           for tag in ("t3", "t2", "t1", "t0")])
-
-    sim.run_process(main())
-    assert order == ["t3", "t2", "t1", "t0"]  # admission order
-
-
 def test_tag_tie_break_leaves_timestamps_unchanged():
-    """The tie-break only permutes within a same-instant batch; every
-    completion timestamp and byte counter is identical to default."""
-    def run(tie_break):
+    """Tags only permute within a same-instant batch; every completion
+    timestamp and byte counter is identical to an untagged run."""
+    def run(tagged):
         sim = Simulation()
         link = SharedBandwidth(sim, aggregate_bw=60 * MB,
-                               per_stream_bw=30 * MB,
-                               tie_break=tie_break)
+                               per_stream_bw=30 * MB)
         finishes = []
 
-        def proc(tag, nbytes):
-            yield link.transfer(nbytes, tag)
-            finishes.append((tag, sim.now))
+        def proc(name, nbytes):
+            yield link.transfer(nbytes, name if tagged else "")
+            finishes.append((name, sim.now))
 
         def main():
             jobs = [("z", 30 * MB), ("y", 30 * MB), ("x", 45 * MB)]
-            yield all_of(sim, [sim.process(proc(tag, nbytes))
-                               for tag, nbytes in jobs])
+            yield all_of(sim, [sim.process(proc(name, nbytes))
+                               for name, nbytes in jobs])
 
         sim.run_process(main())
-        return {tag: when for tag, when in finishes}, link.bytes_moved
+        return ([name for name, _ in finishes],
+                {name: when for name, when in finishes}, link.bytes_moved)
 
-    default_times, default_bytes = run("admission")
-    tagged_times, tagged_bytes = run("tag")
-    assert tagged_times == default_times
-    assert tagged_bytes == default_bytes
-
-
-def test_unknown_tie_break_rejected():
-    sim = Simulation()
-    with pytest.raises(SimulationError, match="tie_break"):
-        SharedBandwidth(sim, aggregate_bw=10 * MB, tie_break="random")
+    untagged_order, untagged_times, untagged_bytes = run(tagged=False)
+    tagged_order, tagged_times, tagged_bytes = run(tagged=True)
+    assert untagged_order == ["z", "y", "x"]  # admission order
+    assert tagged_order == ["y", "z", "x"]    # (tag, admission) order
+    assert tagged_times == untagged_times
+    assert tagged_bytes == untagged_bytes
 
 
 def test_no_active_rescan_attributes_remain():

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.sim.cluster import StorageCluster
-from repro.sim.cpu import Machine
 from repro.sim.events import Simulation
 from repro.sim.fio import TABLE3_WORKLOADS, FioWorkload, run_fio, run_workload
-from repro.sim.pagecache import PageCache
 from repro.sim.storage import HDD_CEPH, SSD_CEPH
 from repro.sim.sysbench import run_memory_probe
 from repro.units import GB, MB
@@ -17,30 +15,12 @@ def test_sequential_read_single_stream():
     cluster = StorageCluster(sim, HDD_CEPH)
 
     def proc():
-        source = yield from cluster.read("k", 219 * MB)
-        return source
+        yield from cluster.read(219 * MB)
 
-    assert sim.run_process(proc()) == "storage"
+    sim.run_process(proc())
     assert sim.now == pytest.approx(1.0)
+    assert cluster.files_opened == 0
     assert cluster.bytes_read_from_storage == pytest.approx(219 * MB)
-
-
-def test_page_cache_round_trip():
-    sim = Simulation()
-    machine = Machine(sim)
-    cluster = StorageCluster(sim, HDD_CEPH, memory_link=machine.memory_link)
-    cache = PageCache(1 * GB)
-
-    def proc():
-        first = yield from cluster.read("k", 100 * MB, page_cache=cache)
-        t_first = sim.now
-        second = yield from cluster.read("k", 100 * MB, page_cache=cache)
-        return first, second, t_first, sim.now
-
-    first, second, t_first, t_second = sim.run_process(proc())
-    assert (first, second) == ("storage", "cache")
-    # The cache hit is served at memory speed: far faster than the miss.
-    assert (t_second - t_first) < t_first / 10
 
 
 def test_file_open_goes_through_metadata_service():
@@ -48,8 +28,7 @@ def test_file_open_goes_through_metadata_service():
     cluster = StorageCluster(sim, HDD_CEPH)
 
     def proc():
-        yield from cluster.read("k", 0.2 * MB, open_file=True,
-                                pipeline_path=False)
+        yield from cluster.read(0.2 * MB, open_file=True)
 
     sim.run_process(proc())
     assert cluster.files_opened == 1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import Simulation, all_of
+from repro.sim.bandwidth import SharedBandwidth
+from repro.sim.events import Simulation, Timeout, all_of
+from repro.sim.resources import Lock, Resource
 
 
 def test_clock_starts_at_zero():
@@ -38,6 +40,35 @@ def test_negative_timeout_rejected():
     sim = Simulation()
     with pytest.raises(SimulationError):
         sim.timeout(-1.0)
+
+
+#: Every scheduling entry point that takes a duration or a size, as
+#: ``(sim, value) -> ...`` calls; each must reject ``value``.
+_GUARDED_ENTRY_POINTS = {
+    "Timeout": lambda sim, value: Timeout(sim, value),
+    "Event.succeed": lambda sim, value: sim.event().succeed(delay=value),
+    "Event.fail": lambda sim, value: sim.event().fail(
+        RuntimeError("boom"), delay=value),
+    "Resource.held_for": lambda sim, value: Resource(sim, 1).held_for(
+        value),
+    "Lock.held_for/per_unit": lambda sim, value: Lock(sim).held_for(value),
+    "Lock.held_for/units": lambda sim, value: Lock(sim).held_for(1.0,
+                                                                 value),
+    "SharedBandwidth.transfer": lambda sim, value: SharedBandwidth(
+        sim, aggregate_bw=1.0).transfer(value),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "neg"])
+@pytest.mark.parametrize("entry", sorted(_GUARDED_ENTRY_POINTS))
+def test_nan_and_negative_durations_never_enter_the_heap(entry, value):
+    """The monotone-clock invariant: NaN fails every ``x < 0`` test, so
+    each guard is written ``not x >= 0`` and rejects NaN like a
+    negative, before anything is scheduled."""
+    sim = Simulation()
+    with pytest.raises(SimulationError):
+        _GUARDED_ENTRY_POINTS[entry](sim, value)
+    assert sim._queue == [] and not sim._fifo
 
 
 def test_event_succeed_resumes_waiter():

@@ -31,7 +31,7 @@ def run_lanes(trace, lanes=2, opens_per_sample=0.0):
     :func:`batch_body` on a one-core machine with free file opens."""
     sim = Simulation()
     machine = Machine(sim, cores=1)
-    cluster = StorageCluster(sim, HDD_CEPH, memory_link=machine.memory_link)
+    cluster = StorageCluster(sim, HDD_CEPH)
     stored = Representation("raw", bytes_per_sample=1.0,
                             record_format=False)
     step = SimpleNamespace(holds_gil=False, cpu_seconds=1.0)
