@@ -15,17 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import RunConfig, SimulatedBackend
-from repro.core.profiler import StrategyProfiler
 
 
 @pytest.fixture(scope="session")
 def backend():
     return SimulatedBackend()
-
-
-@pytest.fixture(scope="session")
-def profiler(backend):
-    return StrategyProfiler(backend)
 
 
 def run_once(benchmark, fn):

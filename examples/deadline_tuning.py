@@ -10,7 +10,7 @@ Run:  python examples/deadline_tuning.py
 """
 
 from repro import (ObjectiveWeights, RunConfig, SimulatedBackend,
-                   StrategyAnalysis, StrategyProfiler, get_pipeline)
+                   StrategyAnalysis, SweepEngine, get_pipeline)
 
 SCENARIOS = [
     ("throughput only (default)", ObjectiveWeights(0, 0, 1)),
@@ -20,9 +20,9 @@ SCENARIOS = [
 
 
 def main() -> None:
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(get_pipeline("CV"),
-                                         config=RunConfig())
+    engine = SweepEngine(SimulatedBackend())
+    profiles = engine.profile_pipeline(get_pipeline("CV"),
+                                       config=RunConfig())
     analysis = StrategyAnalysis(profiles)
 
     for label, weights in SCENARIOS:

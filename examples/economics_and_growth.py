@@ -14,23 +14,23 @@ the same profiles:
 Run:  python examples/economics_and_growth.py
 """
 
-from repro import (Environment, RunConfig, SimulatedBackend,
-                   StrategyProfiler, get_pipeline)
+from repro import (Environment, RunConfig, SimulatedBackend, SweepEngine,
+                   get_pipeline)
 from repro.core.amortization import amortization_frame, break_even_epochs
 from repro.core.economics import PriceSheet, cost_frame
 from repro.core.growth import find_threshold_crossings
 
 
 def main() -> None:
-    profiler = StrategyProfiler(SimulatedBackend())
+    engine = SweepEngine(SimulatedBackend())
 
     print("1) Cloud cost of the CV strategies "
           "(10 epochs on a V100, 1 month of storage):")
-    cv_profiles = profiler.profile_pipeline(get_pipeline("CV"))
+    cv_profiles = engine.profile_pipeline(get_pipeline("CV"))
     print(cost_frame(cv_profiles, PriceSheet(), epochs=10).to_markdown())
 
     print("\n2) When does offline preprocessing amortise? (CV2-JPG)")
-    cv2_profiles = profiler.profile_pipeline(get_pipeline("CV2-JPG"))
+    cv2_profiles = engine.profile_pipeline(get_pipeline("CV2-JPG"))
     by_name = {p.strategy.split_name: p for p in cv2_profiles}
     epochs = break_even_epochs(by_name["unprocessed"], by_name["resized"])
     print(f"   resized beats unprocessed end-to-end after {epochs} "

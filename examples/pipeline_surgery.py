@@ -9,12 +9,12 @@ downstream trade-off.
 Run:  python examples/pipeline_surgery.py
 """
 
-from repro import RunConfig, SimulatedBackend, StrategyProfiler, get_pipeline
+from repro import RunConfig, SimulatedBackend, SweepEngine, get_pipeline
 from repro.core.report import storage_vs_throughput
 
 
 def main() -> None:
-    profiler = StrategyProfiler(SimulatedBackend())
+    engine = SweepEngine(SimulatedBackend())
     config = RunConfig()
 
     variants = [
@@ -25,8 +25,8 @@ def main() -> None:
     ]
     peaks = {}
     for label, name in variants:
-        profiles = profiler.profile_pipeline(get_pipeline(name),
-                                             config=config)
+        profiles = engine.profile_pipeline(get_pipeline(name),
+                                           config=config)
         frame = storage_vs_throughput(profiles)
         print(f"\n{label}:")
         print(frame.select(["strategy", "storage",

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (RunConfig, SimulatedBackend, StrategyAnalysis,
-                   StrategyProfiler, get_pipeline)
+                   SweepEngine, get_pipeline)
 from repro.core.report import tradeoff_table
 
 
@@ -20,8 +20,8 @@ def main() -> None:
     print(f"dataset:  {pipeline.sample_count:,} samples, "
           f"{pipeline.source.total_bytes(pipeline.sample_count) / 1e9:.1f} GB\n")
 
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(pipeline, config=RunConfig())
+    engine = SweepEngine(SimulatedBackend())
+    profiles = engine.profile_pipeline(pipeline, config=RunConfig())
 
     print("Table 1 style trade-offs:")
     print(tradeoff_table(profiles).to_markdown())

@@ -7,19 +7,19 @@ hardware substrate used to regenerate every table and figure.
 
 Quickstart::
 
-    from repro import (SimulatedBackend, StrategyProfiler,
-                       StrategyAnalysis, get_pipeline)
+    from repro import (SimulatedBackend, StrategyAnalysis, SweepEngine,
+                       get_pipeline)
 
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(get_pipeline("CV"))
+    engine = SweepEngine(SimulatedBackend())
+    profiles = engine.profile_pipeline(get_pipeline("CV"))
     analysis = StrategyAnalysis(profiles)
     print(analysis.summary())
 
-Full-catalog sweeps fan out and memoize via the exec engine::
+Full-catalog sweeps fan out and memoize via the same engine::
 
     from repro import ProfileCache, SimulatedBackend, SweepEngine
 
-    engine = SweepEngine(SimulatedBackend(), executor=4,
+    engine = SweepEngine(SimulatedBackend(), jobs=4,
                          cache=ProfileCache("~/.cache/presto"))
     result = engine.sweep()          # all seven paper pipelines
 
@@ -48,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.analysis": ("ObjectiveWeights", "StrategyAnalysis"),
     "repro.core.autotune": ("AutoTuner",),
     "repro.core.frame": ("Frame",),
-    "repro.core.profiler": ("StrategyProfiler",),
     "repro.core.strategy": ("Strategy", "enumerate_strategies"),
     "repro.diagnosis.doctor": ("BottleneckDoctor",),
     "repro.exec.cache": ("ProfileCache",),
@@ -83,7 +82,6 @@ __all__ = [
     "SimulatedBackend",
     "Strategy",
     "StrategyAnalysis",
-    "StrategyProfiler",
     "SweepEngine",
     "SweepResult",
     "all_pipelines",

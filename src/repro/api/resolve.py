@@ -1,7 +1,7 @@
 """Shared name resolvers with actionable errors.
 
 Every registry-backed name in an experiment -- pipelines, storage
-devices, scheduler policies, trace shapes, backends, executors -- is
+devices, scheduler policies, trace shapes, backends -- is
 resolved through one of these helpers.  On an unknown name they raise
 :class:`~repro.errors.SpecError` listing the valid names (and a
 nearest-match suggestion when one is close), so both the classic CLI

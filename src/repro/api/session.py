@@ -12,7 +12,7 @@ One front door over the four separately-grown engines::
     print(artifact.report)           # == `presto sweep` stdout, byte-wise
 
 ``Session.run`` dispatches on ``spec.kind`` to the existing engines
-(StrategyProfiler/SweepEngine, AutoTuner, BottleneckDoctor,
+(SweepEngine, AutoTuner, BottleneckDoctor,
 PreprocessingService, the fan-out models) and always returns a
 :class:`~repro.api.artifact.RunArtifact` -- frame + report text +
 kernel-event count + provenance -- so results from different workloads
@@ -159,25 +159,26 @@ class Session:
 
     def _run_profile(self, spec: ExperimentSpec) -> RunArtifact:
         from repro.core.analysis import StrategyAnalysis
-        from repro.core.profiler import StrategyProfiler
+        from repro.core.profiler import profiles_frame
+        from repro.exec import SweepEngine
         cache = self._cache(spec)
-        profiler = StrategyProfiler(spec.environment.to_backend(),
-                                    jobs=spec.executor.jobs, cache=cache)
-        profiles = profiler.profile_pipeline(
+        engine = SweepEngine(spec.environment.to_backend(),
+                             jobs=spec.executor.jobs, cache=cache)
+        profiles = engine.profile_pipeline(
             resolve_pipeline(spec.pipelines[0]),
             config=spec.run.to_run_config())
         report = StrategyAnalysis(profiles).summary()
         self._report_cache(cache)
-        return self._artifact(spec, StrategyProfiler.to_frame(profiles),
+        return self._artifact(spec, profiles_frame(profiles),
                               report, self._events_of(profiles))
 
     def _run_sweep(self, spec: ExperimentSpec) -> RunArtifact:
         from repro.core.analysis import StrategyAnalysis
-        from repro.core.profiler import StrategyProfiler
+        from repro.core.profiler import profiles_frame
         from repro.exec import ProgressPrinter, SweepEngine
         cache = self._cache(spec)
         engine = SweepEngine(spec.environment.to_backend(),
-                             executor=spec.executor.jobs, cache=cache)
+                             jobs=spec.executor.jobs, cache=cache)
         if spec.executor.progress and self.stderr is not None:
             engine.add_listener(ProgressPrinter(self.stderr))
         result = engine.sweep(
@@ -191,7 +192,7 @@ class Session:
                    f"{result.elapsed:.2f}s")
         self._report_cache(cache)
         return self._artifact(
-            spec, StrategyProfiler.to_frame(result.all_profiles()),
+            spec, profiles_frame(result.all_profiles()),
             report, self._events_of(result.all_profiles()))
 
     def _run_tune(self, spec: ExperimentSpec) -> RunArtifact:

@@ -7,7 +7,7 @@ touches, the run knobs
 (:class:`RunSpec`), the hardware (:class:`EnvironmentSpec`), executor
 and profile-cache settings (:class:`ExecSpec`) and the workload-specific
 sub-specs.  Everything the four historical entry points
-(StrategyProfiler/SweepEngine, AutoTuner, BottleneckDoctor,
+(SweepEngine, AutoTuner, BottleneckDoctor,
 PreprocessingService) take as constructor arguments and ad-hoc CLI
 flags is expressible -- and therefore saveable, diffable and
 replayable -- as one spec.

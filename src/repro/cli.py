@@ -521,9 +521,9 @@ def _cmd_cost(args) -> int:
     from repro.api import resolve_pipeline
     from repro.backends import SimulatedBackend
     from repro.core.economics import PriceSheet, cost_frame
-    from repro.core.profiler import StrategyProfiler
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(resolve_pipeline(args.pipeline))
+    from repro.exec import SweepEngine
+    profiles = SweepEngine(SimulatedBackend()).profile_pipeline(
+        resolve_pipeline(args.pipeline))
     frame = cost_frame(profiles, PriceSheet(), epochs=args.epochs,
                        project_months=args.months)
     print(f"dollar cost for {args.epochs} epochs, "
@@ -536,9 +536,9 @@ def _cmd_amortize(args) -> int:
     from repro.api import resolve_pipeline
     from repro.backends import SimulatedBackend
     from repro.core.amortization import amortization_frame
-    from repro.core.profiler import StrategyProfiler
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(resolve_pipeline(args.pipeline))
+    from repro.exec import SweepEngine
+    profiles = SweepEngine(SimulatedBackend()).profile_pipeline(
+        resolve_pipeline(args.pipeline))
     frame = amortization_frame(profiles, horizons=tuple(args.horizons))
     print(frame.to_markdown())
     return 0

@@ -6,10 +6,10 @@ Strategy Optimizer.  The central objects are:
 * :class:`repro.core.strategy.Strategy` -- a concrete offline/online split
   of a pipeline plus execution knobs (threads, caching, compression,
   sharding).
-* :class:`repro.core.profiler.StrategyProfiler` -- runs strategies on a
-  backend and collects the three key metrics (preprocessing time, storage
-  consumption, throughput).  Execution is delegated
-  to the parallel, memoizing :class:`repro.exec.engine.SweepEngine`.
+* :class:`repro.core.profiler.StrategyProfile` -- one strategy's three
+  key metrics (preprocessing time, storage consumption, throughput), as
+  measured by the parallel, memoizing
+  :class:`repro.exec.engine.SweepEngine`.
 * :class:`repro.core.analysis.StrategyAnalysis` -- normalizes the metrics
   and ranks strategies with the user-weighted objective function of
   paper Sec. 3.1.
@@ -20,7 +20,7 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.frame": ("Frame",),
     "repro.core.strategy": ("Strategy", "enumerate_strategies"),
-    "repro.core.profiler": ("StrategyProfiler", "StrategyProfile"),
+    "repro.core.profiler": ("StrategyProfile",),
     "repro.core.analysis": ("ObjectiveWeights", "StrategyAnalysis"),
 })
 
@@ -36,7 +36,6 @@ __all__ = [
     "Frame",
     "Strategy",
     "enumerate_strategies",
-    "StrategyProfiler",
     "StrategyProfile",
     "ObjectiveWeights",
     "StrategyAnalysis",

@@ -16,7 +16,7 @@ from repro.backends.analytic import AnalyticModel
 from repro.backends.base import Backend, Environment
 from repro.core.analysis import ObjectiveWeights, StrategyAnalysis
 from repro.core.frame import Frame
-from repro.core.profiler import StrategyProfile, StrategyProfiler
+from repro.core.profiler import StrategyProfile, profiles_frame
 from repro.core.strategy import Strategy, enumerate_strategies
 from repro.errors import ProfilingError
 from repro.pipelines.base import PipelineSpec
@@ -38,7 +38,7 @@ class TuningReport:
         return self.best.strategy
 
     def frame(self) -> Frame:
-        return StrategyProfiler.to_frame(self.profiles)
+        return profiles_frame(self.profiles)
 
     def describe(self) -> str:
         best = self.best
@@ -53,19 +53,19 @@ class TuningReport:
 class AutoTuner:
     """Grid search with analytic pre-screening.
 
-    ``jobs`` and ``cache`` are forwarded to the profiler's sweep engine:
-    survivors of the analytic screen profile in parallel, and repeated
-    tuning sessions reuse memoized profiles.
+    ``runs_total``, ``jobs`` and ``cache`` configure the sweep engine
+    that profiles the survivors of the analytic screen: they profile in
+    parallel, and repeated tuning sessions reuse memoized profiles.
     """
 
     def __init__(self, backend: Backend,
                  environment: Optional[Environment] = None,
                  runs_total: int = 1,
-                 jobs: Optional[int] = None,
+                 jobs: int = 1,
                  cache=None):
-        self.backend = backend
-        self.profiler = StrategyProfiler(backend, runs_total=runs_total,
-                                         jobs=jobs, cache=cache)
+        from repro.exec.engine import SweepEngine
+        self.engine = SweepEngine(backend, jobs=jobs, cache=cache,
+                                  runs_total=runs_total)
         self.analytic = AnalyticModel(environment
                                       or getattr(backend, "environment",
                                                  None)
@@ -91,9 +91,9 @@ class AutoTuner:
         candidates = enumerate_strategies(
             pipeline, threads=threads, compressions=compressions,
             cache_modes=cache_modes, epochs=epochs)
-        survivors = self._screen(candidates, screen_keep)
-        profiles = self.profiler.profile_grid(survivors,
-                                              sample_count=sample_count)
+        survivors = screen_strategies(candidates, screen_keep,
+                                      self.analytic)
+        profiles = self.engine.profile(survivors, sample_count=sample_count)
         analysis = StrategyAnalysis(profiles)
         return TuningReport(
             pipeline=pipeline.name,
@@ -103,10 +103,6 @@ class AutoTuner:
             best=analysis.best(weights),
             profiles=profiles,
         )
-
-    def _screen(self, candidates: list[Strategy],
-                keep: float) -> list[Strategy]:
-        return screen_strategies(candidates, keep, self.analytic)
 
 
 def screen_strategies(candidates: list[Strategy], keep: float,

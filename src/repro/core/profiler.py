@@ -1,27 +1,24 @@
-"""The strategy profiler: PRESTO's ``profile_strategy()``.
+"""Strategy profiles: the results of PRESTO's ``profile_strategy()``.
 
-Runs strategies on a backend, repeats runs (``runs_total``), optionally
-profiles only a subset of the dataset (``sample_count``) and aggregates
-the paper's three key metrics -- preprocessing time, storage consumption
-and throughput -- into result records / a :class:`~repro.core.frame.Frame`.
-
-Execution is delegated to the :class:`~repro.exec.engine.SweepEngine`, so
-profiling can fan out over worker pools (``jobs``) and memoize results in
-a content-addressed :class:`~repro.exec.cache.ProfileCache` (``cache``)
-without any caller changes.
+A :class:`StrategyProfile` aggregates the paper's three key metrics --
+preprocessing time, storage consumption and throughput -- over a
+strategy's repeated runs; :func:`profiles_frame` collects profiles into
+a :class:`~repro.core.frame.Frame`.  The profiles themselves come from
+the :class:`~repro.exec.engine.SweepEngine`, which runs strategies on a
+backend (``runs_total`` repeats, optional ``sample_count`` subsets),
+fans them out over worker pools (``jobs``) and memoizes them in a
+content-addressed :class:`~repro.exec.cache.ProfileCache` (``cache``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.backends.base import Backend, RunConfig, StrategyRunResult
+from repro.backends.base import StrategyRunResult
 from repro.core.frame import Frame
-from repro.core.strategy import Strategy, enumerate_strategies
-from repro.errors import ProfilingError
-from repro.pipelines.base import PipelineSpec, SplitPlan
+from repro.core.strategy import Strategy
 from repro.units import GB, MB
 
 
@@ -104,53 +101,6 @@ class StrategyProfile:
         return record
 
 
-class StrategyProfiler:
-    """Profiles strategies on a backend and collects result frames.
-
-    ``jobs`` fans profiling out over a worker pool (``None``/1 keeps the
-    serial reference behaviour), ``cache`` memoizes results across calls;
-    both are forwarded to the underlying sweep engine.
-    """
-
-    def __init__(self, backend: Backend, runs_total: int = 1,
-                 jobs: Optional[int] = None, cache=None):
-        if runs_total < 1:
-            raise ProfilingError("runs_total must be >= 1")
-        self.backend = backend
-        self.runs_total = runs_total
-        from repro.exec.engine import SweepEngine
-        self.engine = SweepEngine(backend, executor=jobs, cache=cache,
-                                  runs_total=runs_total)
-
-    def profile_strategy(self, strategy: Strategy,
-                         sample_count: Optional[int] = None,
-                         ) -> StrategyProfile:
-        """Run one strategy ``runs_total`` times.
-
-        ``sample_count`` profiles a dataset subset, the paper's knob for
-        cheap first looks (it recommends full-dataset profiling because
-        some bottlenecks only appear once caches fill -- Sec. 3.1).
-        """
-        return self.engine.profile([strategy],
-                                   sample_count=sample_count)[0]
-
-    def profile_pipeline(self, pipeline: PipelineSpec,
-                         config: Optional[RunConfig] = None,
-                         sample_count: Optional[int] = None,
-                         ) -> list[StrategyProfile]:
-        """Profile every legal split of ``pipeline`` under one config."""
-        return self.engine.profile_pipeline(pipeline, config=config,
-                                            sample_count=sample_count)
-
-    def profile_grid(self, strategies: Sequence[Strategy],
-                     sample_count: Optional[int] = None,
-                     ) -> list[StrategyProfile]:
-        """Profile an explicit strategy grid (see
-        :func:`repro.core.strategy.enumerate_strategies`)."""
-        return self.engine.profile(strategies, sample_count=sample_count)
-
-    @staticmethod
-    def to_frame(profiles: Sequence[StrategyProfile]) -> Frame:
-        """Collect profiles into a result frame (the pandas substitute)."""
-        return Frame.from_records(
-            [profile.to_record() for profile in profiles])
+def profiles_frame(profiles: Sequence[StrategyProfile]) -> Frame:
+    """Collect profiles into a result frame (the pandas substitute)."""
+    return Frame.from_records([profile.to_record() for profile in profiles])

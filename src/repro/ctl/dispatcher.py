@@ -79,14 +79,14 @@ class AutoscaleConfig:
     interval: float = 600.0
 
     def __post_init__(self):
-        if self.min_slots < 1:
+        if not self.min_slots >= 1:
             raise ControlError(
                 f"autoscale.min_slots must be >= 1, got {self.min_slots!r}")
-        if self.max_slots < self.min_slots:
+        if not self.max_slots >= self.min_slots:
             raise ControlError(
                 f"autoscale.max_slots ({self.max_slots!r}) must be >= "
                 f"min_slots ({self.min_slots!r})")
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ControlError(
                 f"autoscale.interval must be positive, "
                 f"got {self.interval!r}")
@@ -130,7 +130,7 @@ class Dispatcher(PreprocessingService):
         #: fault plan (the stretch comes from the chaos engine).
         self.shed_slo = bool(shed_slo)
         self.retry_policy = retry if retry is not None else RetryPolicy()
-        if admission_limit is not None and admission_limit < 1:
+        if admission_limit is not None and not admission_limit >= 1:
             raise ControlError(
                 f"admission_limit must be >= 1 (or None for unlimited), "
                 f"got {admission_limit!r}")
@@ -181,7 +181,7 @@ class Dispatcher(PreprocessingService):
         next epoch boundary, so a job inside its final epoch may still
         complete.
         """
-        if at < 0:
+        if not at >= 0:
             raise ControlError(f"cancel time must be >= 0, got {at!r}")
         record = self._records.get(job_id)
         if record is not None and self._sim is not None:

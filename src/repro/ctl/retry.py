@@ -36,15 +36,15 @@ class RetryPolicy:
             raise ControlError(
                 f"retry.max_attempts must be a positive integer, "
                 f"got {self.max_attempts!r}")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:
             raise ControlError(
                 f"retry.backoff_base must be >= 0, "
                 f"got {self.backoff_base!r}")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ControlError(
                 f"retry.backoff_factor must be >= 1, "
                 f"got {self.backoff_factor!r}")
-        if self.backoff_cap < self.backoff_base:
+        if not self.backoff_cap >= self.backoff_base:
             raise ControlError(
                 f"retry.backoff_cap ({self.backoff_cap!r}) must be >= "
                 f"backoff_base ({self.backoff_base!r})")

@@ -190,13 +190,13 @@ class BottleneckDoctor:
     """
 
     def __init__(self, backend: Optional[Backend] = None,
-                 jobs: Optional[int] = None, cache=None,
+                 jobs: int = 1, cache=None,
                  model: Optional[AnalyticModel] = None):
         if backend is None:
             from repro.backends.simulated import SimulatedBackend
             backend = SimulatedBackend()
         from repro.exec.engine import SweepEngine
-        self.engine = SweepEngine(backend, executor=jobs, cache=cache)
+        self.engine = SweepEngine(backend, jobs=jobs, cache=cache)
         self.environment: Environment = self.engine.environment
         self.model = model or AnalyticModel(self.environment)
 

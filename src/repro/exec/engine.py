@@ -5,18 +5,18 @@ serially and recomputed identical profiles on every invocation -- the
 exact hidden preprocessing cost the paper warns about.  The
 :class:`SweepEngine` fixes both pathologies:
 
-* profiling jobs fan out over a pluggable executor (serial, thread pool,
-  process pool -- see :mod:`repro.exec.executors`), with results always
-  returned in submission order so parallel sweeps are byte-identical to
-  serial ones;
+* ``jobs`` > 1 fans profiling jobs out over a ``concurrent.futures``
+  process pool, with results always returned in submission order so
+  parallel sweeps are byte-identical to serial ones;
 * a content-addressed :class:`~repro.exec.cache.ProfileCache` keyed by
   (pipeline, strategy, environment, backend) fingerprints memoizes runs
   across calls -- and across processes when the cache is persistent;
 * :class:`~repro.exec.events.SweepEvent` records stream to listeners
   (:meth:`SweepEngine.add_listener`) so long sweeps are observable.
 
-:class:`~repro.core.profiler.StrategyProfiler` delegates here, so every
-existing caller picks up the engine transparently.
+Every profiling caller -- the CLI, :class:`~repro.api.session.Session`,
+:class:`~repro.core.autotune.AutoTuner` and
+:class:`~repro.diagnosis.doctor.BottleneckDoctor` -- builds one of these.
 
 Process-pool note: pipeline specs carry step callables (lambdas,
 closures) and do not pickle, so process workers rebuild their plan from
@@ -39,15 +39,13 @@ from repro.errors import SweepError
 from repro.exec.cache import ProfileCache
 from repro.exec.events import (CACHE_HIT, JOB_DONE, SWEEP_END, SWEEP_START,
                                SweepEvent, SweepListener)
-from repro.exec.executors import (ExecutorSpec, ProcessExecutor,
-                                  ThreadExecutor, resolve_executor)
 from repro.exec.fingerprint import describe_pipeline, job_fingerprint
 from repro.pipelines.base import PipelineSpec, SplitPlan
 
 
 @dataclass(frozen=True)
 class _JobPayload:
-    """One unit of executor work: run a strategy ``runs_total`` times.
+    """One unit of pool work: run a strategy ``runs_total`` times.
 
     Carries either a live ``plan`` (serial/thread execution) or a
     registry reference (``pipeline_name`` + ``sample_count`` +
@@ -108,16 +106,19 @@ class SweepResult:
 
 
 class SweepEngine:
-    """Fans profiling jobs out over an executor, memoizing via a cache."""
+    """Profiles strategies on a backend: ``jobs`` workers, memoized via a
+    cache, each strategy run ``runs_total`` times (PRESTO's
+    ``profile_strategy()``)."""
 
-    def __init__(self, backend: Backend,
-                 executor: ExecutorSpec = None,
+    def __init__(self, backend: Backend, jobs: int = 1,
                  cache: Optional[ProfileCache] = None,
                  runs_total: int = 1):
+        if type(jobs) is not int or jobs < 1:
+            raise SweepError(f"jobs must be an integer >= 1, got {jobs!r}")
         if runs_total < 1:
             raise SweepError("runs_total must be >= 1")
         self.backend = backend
-        self.executor = resolve_executor(executor)
+        self.jobs = jobs
         self.cache = cache
         self.runs_total = runs_total
         self.listeners: list[SweepListener] = []
@@ -140,9 +141,11 @@ class SweepEngine:
                 ) -> list[StrategyProfile]:
         """Profile ``strategies``, returning profiles in input order.
 
-        Cache hits never reach the executor; misses fan out and are
-        stored back.  ``sample_count`` profiles a dataset subset, as in
-        :meth:`repro.core.profiler.StrategyProfiler.profile_strategy`.
+        Cache hits never reach a worker; misses fan out and are stored
+        back.  ``sample_count`` profiles a dataset subset, the paper's
+        knob for cheap first looks (it recommends full-dataset profiling
+        because some bottlenecks only appear once caches fill -- Sec.
+        3.1).
         """
         started = time.perf_counter()
         strategies = [self._resample(strategy, sample_count)
@@ -166,15 +169,7 @@ class SweepEngine:
                 pending.append((index, strategy, key))
 
         if pending:
-            portability = [self._portable(strategy)
-                           for _, strategy, _ in pending]
-            executor = self._executor_for(portability)
-            # Process workers get registry references (plans don't
-            # pickle); serial/thread executors get the live plan.
-            ship_by_name = isinstance(executor, ProcessExecutor)
-            payloads = [self._payload(strategy, ship_by_name)
-                        for _, strategy, _ in pending]
-            outcomes = executor.map(_execute_payload, payloads)
+            outcomes = self._run([strategy for _, strategy, _ in pending])
             for (index, strategy, key), (runs, elapsed) in zip(pending,
                                                                outcomes):
                 profile = StrategyProfile(strategy=strategy, runs=list(runs))
@@ -205,8 +200,8 @@ class SweepEngine:
         """Profile every legal strategy of every pipeline in one fan-out.
 
         Defaults to the paper's seven pipelines.  All jobs across all
-        pipelines share one executor pass, so parallelism is not gated
-        per pipeline.
+        pipelines share one pool, so parallelism is not gated per
+        pipeline.
         """
         from repro.pipelines.registry import all_pipelines
         if pipelines is None:
@@ -257,13 +252,26 @@ class SweepEngine:
             rebuilt = rebuilt.with_sample_count(pipeline.sample_count)
         return describe_pipeline(rebuilt) == describe_pipeline(pipeline)
 
-    def _executor_for(self, portability: Sequence[bool]):
-        """The configured executor, downgraded to threads when process
-        workers could not rebuild every job."""
-        executor = self.executor
-        if isinstance(executor, ProcessExecutor) and not all(portability):
-            return ThreadExecutor(executor.jobs)
-        return executor
+    def _run(self, strategies: list[Strategy],
+             ) -> list[tuple[list[StrategyRunResult], float]]:
+        """Execute ``strategies`` in submission order: inline at
+        ``jobs == 1``, else on a process pool -- or a thread pool when
+        some pipeline cannot be rebuilt from the registry."""
+        if self.jobs == 1:
+            return [_execute_payload(self._payload(strategy, False))
+                    for strategy in strategies]
+        from concurrent.futures import (ProcessPoolExecutor,
+                                        ThreadPoolExecutor)
+        # Process workers get registry references (plans don't pickle);
+        # thread workers get the live plan.
+        ship_by_name = all(self._portable(strategy)
+                           for strategy in strategies)
+        pool_cls = (ProcessPoolExecutor if ship_by_name
+                    else ThreadPoolExecutor)
+        payloads = [self._payload(strategy, ship_by_name)
+                    for strategy in strategies]
+        with pool_cls(max_workers=min(self.jobs, len(payloads))) as pool:
+            return list(pool.map(_execute_payload, payloads))
 
     def _payload(self, strategy: Strategy, ship_by_name: bool) -> _JobPayload:
         plan = strategy.plan

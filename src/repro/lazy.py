@@ -1,8 +1,8 @@
 """Lazy package re-exports (PEP 562).
 
 A package root that re-exports names from its submodules would import
-every one of those submodules -- and whatever they import, numpy and
-the process-pool executors included -- as soon as anything under the
+every one of those submodules -- and whatever they import, numpy
+included -- as soon as anything under the
 package is touched.  :func:`lazy_exports` instead resolves each public
 name on first attribute access, so ``import repro`` and
 ``from repro.serve import PreprocessingService`` load only the modules

@@ -100,16 +100,22 @@ class Event:
         """Trigger the event successfully after ``delay`` simulated seconds."""
         if self._triggered:
             raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._value = value
         sim = self.sim
-        sim._sequence += 1
+        # The delay is checked before any state changes, so a rejected
+        # trigger leaves the event pending; the zero-delay branch (every
+        # resource grant) pays for no check at all.
         if delay:
             if not delay >= 0:
                 raise SimulationError(
                     f"cannot schedule into the past: {delay}")
+            self._triggered = True
+            self._value = value
+            sim._sequence += 1
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
         else:
+            self._triggered = True
+            self._value = value
+            sim._sequence += 1
             # Same-instant events skip the heap: the run loop merges this
             # FIFO with the heap in exact (timestamp, sequence) order.
             sim._fifo.append((sim._sequence, self))
@@ -121,16 +127,19 @@ class Event:
             raise SimulationError("event triggered twice")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() expects an exception instance")
-        self._triggered = True
-        self._exception = exception
         sim = self.sim
-        sim._sequence += 1
         if delay:
             if not delay >= 0:
                 raise SimulationError(
                     f"cannot schedule into the past: {delay}")
+            self._triggered = True
+            self._exception = exception
+            sim._sequence += 1
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
         else:
+            self._triggered = True
+            self._exception = exception
+            sim._sequence += 1
             sim._fifo.append((sim._sequence, self))
         return self
 
@@ -350,7 +359,6 @@ class Simulation:
         #: an allocation/heap-traffic optimisation.
         self._fifo: deque[tuple[int, Event]] = deque()
         self._sequence = 0
-        self._processes_started = 0
         self._events_processed = 0
 
     @property
@@ -381,7 +389,6 @@ class Simulation:
     def process(self, generator: ProcessGenerator,
                 name: str = "process") -> Process:
         """Start a process driven by ``generator``."""
-        self._processes_started += 1
         return Process(self, generator, name=name)
 
     # -- execution ----------------------------------------------------------

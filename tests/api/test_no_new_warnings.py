@@ -1,6 +1,6 @@
 """Deprecation hygiene: the classic entry points stay first-class.
 
-The Session facade fronts StrategyProfiler / SweepEngine / AutoTuner /
+The Session facade fronts SweepEngine / AutoTuner /
 BottleneckDoctor / PreprocessingService, but direct construction of any
 of them remains supported and silent -- no DeprecationWarning,
 FutureWarning or any other warning is emitted by either the classic
@@ -21,10 +21,10 @@ def escalate_warnings():
 
 
 def test_classic_profiler_and_engine_paths_emit_no_warnings():
-    from repro import (ProfileCache, SimulatedBackend, StrategyProfiler,
-                       SweepEngine, get_pipeline)
-    profiler = StrategyProfiler(SimulatedBackend())
-    profiles = profiler.profile_pipeline(get_pipeline("MP3"))
+    from repro import (ProfileCache, SimulatedBackend, SweepEngine,
+                       get_pipeline)
+    profiles = SweepEngine(SimulatedBackend()).profile_pipeline(
+        get_pipeline("MP3"))
     assert len(profiles) == 3
     engine = SweepEngine(SimulatedBackend(), cache=ProfileCache())
     result = engine.sweep([get_pipeline("MP3")])

@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 from repro.backends import RunConfig, SimulatedBackend
 from repro.core.analysis import (DEADLINE, STORAGE_BUDGET, THROUGHPUT_ONLY,
                                  ObjectiveWeights, StrategyAnalysis)
-from repro.core.profiler import StrategyProfiler
 from repro.errors import ProfilingError
+from repro.exec import SweepEngine
 from repro.pipelines import get_pipeline
 
-PROFILER = StrategyProfiler(SimulatedBackend())
+ENGINE = SweepEngine(SimulatedBackend())
 
 
 @pytest.fixture(scope="module")
 def cv_profiles():
-    return PROFILER.profile_pipeline(get_pipeline("CV"))
+    return ENGINE.profile_pipeline(get_pipeline("CV"))
 
 
 def test_weights_validation():
@@ -63,7 +63,7 @@ def test_deadline_weights_penalize_preprocessing(cv_profiles):
 def test_storage_weights_change_winner():
     """On NLP, pure throughput picks bpe-encoded; a storage-heavy
     objective must never pick the 490 GB embedded strategy."""
-    profiles = PROFILER.profile_pipeline(get_pipeline("NLP"))
+    profiles = ENGINE.profile_pipeline(get_pipeline("NLP"))
     analysis = StrategyAnalysis(profiles)
     assert analysis.best_strategy_name(THROUGHPUT_ONLY) == "bpe-encoded"
     storage_heavy = ObjectiveWeights(0, 10, 1)

@@ -5,11 +5,11 @@ import pytest
 from repro.backends import RunConfig, SimulatedBackend
 from repro.core.analysis import ObjectiveWeights
 from repro.core.autotune import AutoTuner
-from repro.core.profiler import StrategyProfiler
 from repro.core.report import (bottleneck_report, profile_summary,
                                storage_vs_throughput, tradeoff_table)
 from repro.core.strategy import Strategy
 from repro.errors import ProfilingError
+from repro.exec import SweepEngine
 from repro.pipelines import get_pipeline
 
 BACKEND = SimulatedBackend()
@@ -64,15 +64,14 @@ class TestAutoTuner:
 
 class TestReport:
     def test_storage_vs_throughput(self):
-        profiler = StrategyProfiler(BACKEND)
-        profiles = profiler.profile_pipeline(get_pipeline("NILM"))
+        profiles = SweepEngine(BACKEND).profile_pipeline(
+            get_pipeline("NILM"))
         frame = storage_vs_throughput(profiles)
         assert frame["strategy"] == ["unprocessed", "decoded", "aggregated"]
         assert all(value > 0 for value in frame["throughput_sps"])
 
     def test_tradeoff_table_matches_table1_layout(self):
-        profiler = StrategyProfiler(BACKEND)
-        profiles = profiler.profile_pipeline(get_pipeline("CV"))
+        profiles = SweepEngine(BACKEND).profile_pipeline(get_pipeline("CV"))
         frame = tradeoff_table(profiles)
         assert "Preprocessing strategy" in frame.columns
         assert "Throughput in samples/s" in frame.columns
@@ -84,10 +83,9 @@ class TestReport:
         assert "unprocessed" in text
 
     def test_profile_summary(self):
-        profiler = StrategyProfiler(BACKEND)
         strategy = Strategy(get_pipeline("CV").split_at("resized"),
                             RunConfig(epochs=2, cache_mode="system"))
-        profile = profiler.profile_strategy(strategy)
+        [profile] = SweepEngine(BACKEND).profile([strategy])
         summary = profile_summary(profile)
         assert "resized" in summary
         assert "offline preprocessing" in summary

@@ -5,21 +5,21 @@ import pytest
 from repro.backends import RunConfig, SimulatedBackend
 from repro.core.economics import (PriceSheet, cheapest_strategy, cost_frame,
                                   price_strategy)
-from repro.core.profiler import StrategyProfiler
 from repro.errors import ProfilingError
+from repro.exec import SweepEngine
 from repro.pipelines import get_pipeline
 
-PROFILER = StrategyProfiler(SimulatedBackend())
+ENGINE = SweepEngine(SimulatedBackend())
 
 
 @pytest.fixture(scope="module")
 def cv_profiles():
-    return PROFILER.profile_pipeline(get_pipeline("CV"))
+    return ENGINE.profile_pipeline(get_pipeline("CV"))
 
 
 @pytest.fixture(scope="module")
 def nlp_profiles():
-    return PROFILER.profile_pipeline(get_pipeline("NLP"))
+    return ENGINE.profile_pipeline(get_pipeline("NLP"))
 
 
 def test_price_sheet_validation():

@@ -4,17 +4,17 @@ import pytest
 
 from repro.backends import Environment, RunConfig, SimulatedBackend
 from repro.core import amortization, growth
-from repro.core.profiler import StrategyProfiler
 from repro.errors import ProfilingError
+from repro.exec import SweepEngine
 from repro.pipelines import get_pipeline
 
 BACKEND = SimulatedBackend()
-PROFILER = StrategyProfiler(BACKEND)
+ENGINE = SweepEngine(BACKEND)
 
 
 @pytest.fixture(scope="module")
 def cv2_profiles():
-    return PROFILER.profile_pipeline(get_pipeline("CV2-JPG"))
+    return ENGINE.profile_pipeline(get_pipeline("CV2-JPG"))
 
 
 class TestGrowth:

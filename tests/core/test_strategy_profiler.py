@@ -1,11 +1,12 @@
-"""Tests for Strategy, enumeration and the profiler."""
+"""Tests for Strategy, enumeration and profiling through the engine."""
 
 import pytest
 
 from repro.backends import RunConfig, SimulatedBackend
-from repro.core.profiler import StrategyProfiler
+from repro.core.profiler import profiles_frame
 from repro.core.strategy import Strategy, enumerate_strategies
 from repro.errors import ProfilingError
+from repro.exec import SweepEngine
 from repro.pipelines import get_pipeline
 
 BACKEND = SimulatedBackend()
@@ -59,45 +60,45 @@ class TestEnumeration:
 
 class TestProfiler:
     def test_profile_strategy_runs(self):
-        profiler = StrategyProfiler(BACKEND)
+        engine = SweepEngine(BACKEND)
         strategy = Strategy(get_pipeline("MP3").split_at("decoded"),
                             RunConfig())
-        profile = profiler.profile_strategy(strategy)
+        [profile] = engine.profile([strategy])
         assert profile.throughput > 0
         assert profile.storage_bytes > 0
         assert len(profile.runs) == 1
 
     def test_runs_total_repeats(self):
-        profiler = StrategyProfiler(BACKEND, runs_total=3)
+        engine = SweepEngine(BACKEND, runs_total=3)
         strategy = Strategy(get_pipeline("MP3").split_at("decoded"),
                             RunConfig())
-        profile = profiler.profile_strategy(strategy)
+        [profile] = engine.profile([strategy])
         assert len(profile.runs) == 3
         assert profile.throughput_stdev == pytest.approx(0.0)  # DES
 
     def test_invalid_runs_total(self):
         with pytest.raises(ProfilingError):
-            StrategyProfiler(BACKEND, runs_total=0)
+            SweepEngine(BACKEND, runs_total=0)
 
     def test_sample_count_subsets(self):
         """The paper's sample_count knob (profile a fraction cheaply)."""
-        profiler = StrategyProfiler(BACKEND)
+        engine = SweepEngine(BACKEND)
         strategy = Strategy(get_pipeline("CV").split_at("resized"),
                             RunConfig())
-        subset = profiler.profile_strategy(strategy, sample_count=8000)
+        [subset] = engine.profile([strategy], sample_count=8000)
         assert subset.result.epochs[0].samples == 8000
         assert subset.storage_bytes < 3e9
 
     def test_profile_pipeline_covers_all_splits(self):
-        profiler = StrategyProfiler(BACKEND)
-        profiles = profiler.profile_pipeline(get_pipeline("FLAC"))
+        profiles = SweepEngine(BACKEND).profile_pipeline(
+            get_pipeline("FLAC"))
         assert [p.strategy.split_name for p in profiles] == [
             "unprocessed", "decoded", "spectrogram-encoded"]
 
     def test_to_frame(self):
-        profiler = StrategyProfiler(BACKEND)
-        profiles = profiler.profile_pipeline(get_pipeline("FLAC"))
-        frame = StrategyProfiler.to_frame(profiles)
+        profiles = SweepEngine(BACKEND).profile_pipeline(
+            get_pipeline("FLAC"))
+        frame = profiles_frame(profiles)
         assert len(frame) == 3
         for column in ("throughput_sps", "storage_gb", "preprocessing_s",
                        "strategy", "uid"):
@@ -106,10 +107,10 @@ class TestProfiler:
     def test_subset_profiling_preserves_ranking(self):
         """Profiling 8000 samples picks the same winner as the full
         dataset for FLAC (the paper's sampling question, Sec. 2)."""
-        profiler = StrategyProfiler(BACKEND)
-        full = profiler.profile_pipeline(get_pipeline("FLAC"))
-        subset = profiler.profile_pipeline(get_pipeline("FLAC"),
-                                           sample_count=8000)
+        engine = SweepEngine(BACKEND)
+        full = engine.profile_pipeline(get_pipeline("FLAC"))
+        subset = engine.profile_pipeline(get_pipeline("FLAC"),
+                                         sample_count=8000)
         best_full = max(full, key=lambda p: p.throughput)
         best_subset = max(subset, key=lambda p: p.throughput)
         assert (best_full.strategy.split_name

@@ -46,6 +46,26 @@ class TestConstruction:
         with pytest.raises(ControlError):
             RetryPolicy().backoff(0)
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0],
+                             ids=["nan", "neg"])
+    @pytest.mark.parametrize("build", [
+        lambda value: Dispatcher().cancel("job-000", at=value),
+        lambda value: Dispatcher(admission_limit=value),
+        lambda value: AutoscaleConfig(min_slots=value),
+        lambda value: AutoscaleConfig(max_slots=value),
+        lambda value: AutoscaleConfig(interval=value),
+        lambda value: RetryPolicy(backoff_base=value),
+        lambda value: RetryPolicy(backoff_factor=value),
+        lambda value: RetryPolicy(backoff_cap=value),
+    ], ids=["cancel.at", "admission_limit", "autoscale.min_slots",
+            "autoscale.max_slots", "autoscale.interval", "retry.backoff_base",
+            "retry.backoff_factor", "retry.backoff_cap"])
+    def test_nan_and_negative_inputs_rejected(self, build, value):
+        """NaN fails every ``x < 0`` test, so each guard is written
+        ``not x >= ...`` and rejects NaN like a negative."""
+        with pytest.raises(ControlError):
+            build(value)
+
     def test_backoff_grows_geometrically_to_the_cap(self):
         policy = RetryPolicy(max_attempts=9, backoff_base=10.0,
                              backoff_factor=2.0, backoff_cap=50.0)

@@ -5,18 +5,17 @@ import pytest
 from repro.backends.base import (CACHE_APPLICATION, CACHE_SYSTEM,
                                  Environment, RunConfig)
 from repro.backends.simulated import SimulatedBackend
-from repro.core.profiler import StrategyProfiler
 from repro.core.strategy import Strategy
 from repro.diagnosis.attribution import attribute
 from repro.diagnosis.rewrites import propose_rewrites
+from repro.exec.engine import SweepEngine
 from repro.pipelines.registry import get_pipeline
 from repro.pipelines.synthetic import build_read_sweep_pipeline
 
 
 def profile_of(pipeline, split, config):
-    profiler = StrategyProfiler(SimulatedBackend())
-    return profiler.profile_strategy(
-        Strategy(pipeline.split_at(split), config))
+    return SweepEngine(SimulatedBackend()).profile(
+        [Strategy(pipeline.split_at(split), config)])[0]
 
 
 def rewrites_for(pipeline, split="unprocessed", config=None):

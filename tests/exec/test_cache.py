@@ -4,9 +4,10 @@ round-trip fidelity and fingerprint invalidation."""
 import pytest
 
 from repro.backends import Environment, RunConfig, SimulatedBackend
-from repro.core.profiler import StrategyProfile, StrategyProfiler
+from repro.core.profiler import StrategyProfile
 from repro.core.strategy import Strategy
 from repro.exec.cache import ProfileCache, decode_run, encode_run
+from repro.exec.engine import SweepEngine
 from repro.exec.fingerprint import job_fingerprint
 from repro.pipelines import get_pipeline
 from repro.sim.storage import DEVICE_PROFILES
@@ -17,7 +18,7 @@ BACKEND = SimulatedBackend()
 def _profile(pipeline="MP3", split="decoded", **config) -> StrategyProfile:
     strategy = Strategy(get_pipeline(pipeline).split_at(split),
                         RunConfig(**config))
-    return StrategyProfiler(BACKEND).profile_strategy(strategy)
+    return SweepEngine(BACKEND).profile([strategy])[0]
 
 
 class TestRoundTrip:

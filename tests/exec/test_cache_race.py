@@ -15,9 +15,9 @@ import pytest
 
 from repro.backends.base import RunConfig
 from repro.backends.simulated import SimulatedBackend
-from repro.core.profiler import StrategyProfiler
 from repro.core.strategy import Strategy
 from repro.exec.cache import PAYLOAD_VERSION, ProfileCache
+from repro.exec.engine import SweepEngine
 from repro.pipelines.registry import get_pipeline
 
 KEY = "f" * 64
@@ -25,9 +25,8 @@ KEY = "f" * 64
 
 @pytest.fixture(scope="module")
 def profile():
-    profiler = StrategyProfiler(SimulatedBackend())
-    return profiler.profile_strategy(
-        Strategy(get_pipeline("MP3").split_at(2), RunConfig()))
+    return SweepEngine(SimulatedBackend()).profile(
+        [Strategy(get_pipeline("MP3").split_at(2), RunConfig())])[0]
 
 
 def test_concurrent_stores_of_one_key_never_corrupt(tmp_path, profile):

@@ -1,16 +1,18 @@
-"""Tests for the sweep engine: executor resolution, parallel-vs-serial
-equivalence, cache integration, events and profiler delegation."""
+"""Tests for the sweep engine: jobs validation and pool choice,
+parallel-vs-serial equivalence, cache integration, events and the
+callers that profile through it."""
+
+import concurrent.futures
 
 import pytest
 
 from repro.backends import RunConfig, SimulatedBackend
 from repro.core.analysis import StrategyAnalysis
 from repro.core.autotune import AutoTuner
-from repro.core.profiler import StrategyProfiler
-from repro.core.strategy import Strategy, enumerate_strategies
+from repro.core.strategy import Strategy
+from repro.diagnosis.doctor import BottleneckDoctor
 from repro.errors import SweepError
-from repro.exec import (ProcessExecutor, ProfileCache, SerialExecutor,
-                        SweepEngine, ThreadExecutor, resolve_executor)
+from repro.exec import ProfileCache, SweepEngine
 from repro.exec.events import CACHE_HIT, JOB_DONE, SWEEP_END, SWEEP_START
 from repro.pipelines import get_pipeline
 from repro.pipelines.registry import PAPER_PIPELINES, all_pipelines
@@ -22,34 +24,47 @@ def _records(profiles):
     return [profile.to_record() for profile in profiles]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Spy on pool construction: records ``(pool kind, max_workers)``
+    for every pool the engine builds."""
+    built = []
+
+    def spy(kind, real):
+        def build(max_workers):
+            built.append((kind, max_workers))
+            return real(max_workers=max_workers)
+        return build
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        spy("process", concurrent.futures.ProcessPoolExecutor))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        spy("thread", concurrent.futures.ThreadPoolExecutor))
+    return built
+
+
 class TestExecutorResolution:
-    def test_default_is_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor(1), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+    def test_default_is_serial(self, pools):
+        engine = SweepEngine(BACKEND)
+        assert engine.jobs == 1
+        engine.profile_pipeline(get_pipeline("MP3"))
+        SweepEngine(BACKEND, jobs=1).profile_pipeline(get_pipeline("MP3"))
+        assert pools == []
 
-    def test_jobs_count_maps_to_process_pool(self):
-        executor = resolve_executor(3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.jobs == 3
-
-    def test_named_pools(self):
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
-
-    def test_instance_passthrough(self):
-        executor = ThreadExecutor(2)
-        assert resolve_executor(executor) is executor
+    def test_jobs_count_maps_to_process_pool(self, pools):
+        """A registry pipeline at ``jobs=2`` ships by name to a process
+        pool: the twin of the thread fallback below."""
+        profiles = SweepEngine(BACKEND, jobs=2).profile_pipeline(
+            get_pipeline("MP3"))
+        assert pools == [("process", 2)]
+        assert (_records(profiles)
+                == _records(SweepEngine(BACKEND).profile_pipeline(
+                    get_pipeline("MP3"))))
 
     def test_invalid_specs(self):
-        for spec in (0, -1, "warp-drive", 2.5):
+        for jobs in (0, -1, True, 2.5, "thread", None):
             with pytest.raises(SweepError):
-                resolve_executor(spec)
-
-    def test_map_preserves_order(self):
-        for executor in (SerialExecutor(), ThreadExecutor(4),
-                         ProcessExecutor(4)):
-            assert executor.map(abs, [-3, -1, -2]) == [3, 1, 2]
+                SweepEngine(BACKEND, jobs=jobs)
 
 
 class TestParallelEquivalence:
@@ -57,21 +72,13 @@ class TestParallelEquivalence:
     def test_process_pool_matches_serial(self, pipeline):
         serial = SweepEngine(BACKEND).profile_pipeline(
             get_pipeline(pipeline))
-        parallel = SweepEngine(BACKEND, executor=2).profile_pipeline(
+        parallel = SweepEngine(BACKEND, jobs=2).profile_pipeline(
             get_pipeline(pipeline))
         assert _records(parallel) == _records(serial)
 
-    def test_thread_pool_matches_serial(self):
-        strategies = enumerate_strategies(get_pipeline("FLAC"),
-                                          threads=(4, 8))
-        serial = SweepEngine(BACKEND).profile(strategies)
-        threaded = SweepEngine(BACKEND, executor="thread").profile(
-            strategies)
-        assert _records(threaded) == _records(serial)
-
     def test_sweep_matches_per_pipeline_profiling(self):
         pipelines = [get_pipeline("MP3"), get_pipeline("NILM")]
-        result = SweepEngine(BACKEND, executor=2).sweep(pipelines)
+        result = SweepEngine(BACKEND, jobs=2).sweep(pipelines)
         assert result.pipelines == ["MP3", "NILM"]
         for pipeline in pipelines:
             expected = SweepEngine(BACKEND).profile_pipeline(pipeline)
@@ -80,7 +87,7 @@ class TestParallelEquivalence:
 
     def test_analysis_summaries_byte_identical(self):
         serial = SweepEngine(BACKEND).sweep([get_pipeline("FLAC")])
-        parallel = SweepEngine(BACKEND, executor=4).sweep(
+        parallel = SweepEngine(BACKEND, jobs=4).sweep(
             [get_pipeline("FLAC")])
         assert (StrategyAnalysis(parallel.profiles["FLAC"]).summary()
                 == StrategyAnalysis(serial.profiles["FLAC"]).summary())
@@ -92,14 +99,14 @@ class TestParallelEquivalence:
         assert len(result.profiles["MP3"]) == 6
         assert result.job_count == 6
 
-    def test_mutated_pipeline_falls_back_to_threads(self):
+    def test_mutated_pipeline_falls_back_to_threads(self, pools):
         """Unpicklable, non-registry pipelines must still profile
-        correctly under a process-pool request."""
+        correctly under a process-pool request -- on a thread pool."""
         mutated = get_pipeline("MP3").with_representation(
             "decoded", bytes_per_sample=123456.0)
         serial = SweepEngine(BACKEND).profile_pipeline(mutated)
-        parallel = SweepEngine(BACKEND, executor=2).profile_pipeline(
-            mutated)
+        parallel = SweepEngine(BACKEND, jobs=2).profile_pipeline(mutated)
+        assert pools == [("thread", 2)]
         assert _records(parallel) == _records(serial)
 
 
@@ -116,11 +123,11 @@ class TestEngineCache:
     def test_hit_rate_at_least_90_percent_on_rerun(self, tmp_path):
         """The acceptance criterion: a second full-catalog sweep against
         a warm cache is served (almost) entirely from it."""
-        cold = SweepEngine(BACKEND, executor=2,
+        cold = SweepEngine(BACKEND, jobs=2,
                            cache=ProfileCache(tmp_path))
         cold.sweep(all_pipelines())
         warm_cache = ProfileCache(tmp_path)
-        SweepEngine(BACKEND, executor=2, cache=warm_cache).sweep(
+        SweepEngine(BACKEND, jobs=2, cache=warm_cache).sweep(
             all_pipelines())
         assert warm_cache.stats.hit_rate >= 0.9
 
@@ -182,19 +189,21 @@ class TestEvents:
 
 
 class TestProfilerDelegation:
+    """The profiling front doors above the engine hand it their knobs."""
+
     def test_profiler_uses_engine(self):
-        profiler = StrategyProfiler(BACKEND, jobs=2)
-        assert isinstance(profiler.engine, SweepEngine)
-        profiles = profiler.profile_pipeline(get_pipeline("MP3"))
-        reference = StrategyProfiler(BACKEND).profile_pipeline(
-            get_pipeline("MP3"))
-        assert _records(profiles) == _records(reference)
+        tuner = AutoTuner(BACKEND, jobs=2, runs_total=2)
+        assert isinstance(tuner.engine, SweepEngine)
+        assert (tuner.engine.jobs, tuner.engine.runs_total) == (2, 2)
+        doctor = BottleneckDoctor(BACKEND, jobs=2)
+        assert isinstance(doctor.engine, SweepEngine)
+        assert doctor.engine.jobs == 2
 
     def test_profiler_cache_shared_across_calls(self):
         cache = ProfileCache()
-        profiler = StrategyProfiler(BACKEND, cache=cache)
-        profiler.profile_pipeline(get_pipeline("MP3"))
-        profiler.profile_pipeline(get_pipeline("MP3"))
+        engine = SweepEngine(BACKEND, cache=cache)
+        engine.profile_pipeline(get_pipeline("MP3"))
+        engine.profile_pipeline(get_pipeline("MP3"))
         assert cache.stats.hits == 3
 
     def test_autotuner_threads_engine_options(self):
@@ -210,8 +219,8 @@ class TestProfilerDelegation:
             SweepEngine(BACKEND, runs_total=0)
 
     def test_sample_count_still_subsets(self):
-        profiler = StrategyProfiler(BACKEND, jobs=2)
+        engine = SweepEngine(BACKEND, jobs=2)
         strategy = Strategy(get_pipeline("CV").split_at("resized"),
                             RunConfig())
-        subset = profiler.profile_strategy(strategy, sample_count=8000)
+        subset = engine.profile([strategy], sample_count=8000)[0]
         assert subset.result.epochs[0].samples == 8000

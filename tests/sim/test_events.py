@@ -71,6 +71,33 @@ def test_nan_and_negative_durations_never_enter_the_heap(entry, value):
     assert sim._queue == [] and not sim._fifo
 
 
+@pytest.mark.parametrize("value", [float("nan"), -1.0], ids=["nan", "neg"])
+@pytest.mark.parametrize("trigger", ["succeed", "fail"])
+def test_rejected_delayed_trigger_leaves_event_pending(trigger, value):
+    """A rejected delay changes no state: the event stays untriggered,
+    no sequence number is spent, and a corrected trigger still resumes
+    its waiter."""
+    sim = Simulation()
+    gate = sim.event()
+    log = []
+
+    def waiter():
+        log.append((yield gate))
+
+    sim.process(waiter(), name="waiter")
+    sequence = sim._sequence
+    with pytest.raises(SimulationError):
+        if trigger == "succeed":
+            gate.succeed("late", delay=value)
+        else:
+            gate.fail(RuntimeError("boom"), delay=value)
+    assert not gate.triggered
+    assert sim._sequence == sequence
+    gate.succeed("open")
+    sim.run()
+    assert log == ["open"]
+
+
 def test_event_succeed_resumes_waiter():
     sim = Simulation()
     gate = sim.event()

@@ -1,9 +1,9 @@
 """The import surface: a simulator run loads only what it executes.
 
-numpy is an optional dependency (the ``inprocess`` extra) and the exec
-executors pull in ``multiprocessing`` and ``concurrent.futures``; the
-simulator, the CLI's plan/run paths and the linter must work without
-them.  Package roots re-export their public names lazily
+numpy is an optional dependency (the ``inprocess`` extra) and the sweep
+engine's worker pools pull in ``multiprocessing`` and
+``concurrent.futures``; the simulator, the CLI's plan/run paths and the
+linter must work without them.  Package roots re-export their public names lazily
 (:mod:`repro.lazy`), so the eager-looking ``from repro import X``
 surface must still resolve every name.
 """

@@ -3,24 +3,24 @@
 import pytest
 
 from repro import (AutoTuner, ObjectiveWeights, RunConfig, SimulatedBackend,
-                   StrategyAnalysis, StrategyProfiler, get_pipeline)
+                   StrategyAnalysis, SweepEngine, get_pipeline)
 from repro.core.analysis import DEADLINE, THROUGHPUT_ONLY
 from repro.core.report import tradeoff_table
 from repro.core.training import devices_unblocked_by
 
 BACKEND = SimulatedBackend()
-PROFILER = StrategyProfiler(BACKEND)
+ENGINE = SweepEngine(BACKEND)
 
 
 def test_abstract_claim_3x_to_13x_over_untuned():
     """Abstract: tuned strategies beat fully-preprocessing-once by
     3x (CV) to 13x (NLP), keeping the pipeline functionally identical."""
-    cv = PROFILER.profile_pipeline(get_pipeline("CV"))
+    cv = ENGINE.profile_pipeline(get_pipeline("CV"))
     by_name = {p.strategy.split_name: p.throughput for p in cv}
     cv_gain = by_name["resized"] / by_name["pixel-centered"]
     assert 2.0 < cv_gain < 4.5  # paper: ~3.1x
 
-    nlp = PROFILER.profile_pipeline(get_pipeline("NLP"))
+    nlp = ENGINE.profile_pipeline(get_pipeline("NLP"))
     by_name = {p.strategy.split_name: p.throughput for p in nlp}
     nlp_gain = by_name["bpe-encoded"] / by_name["embedded"]
     assert 6.0 < nlp_gain < 20.0  # paper: ~13x
@@ -30,7 +30,7 @@ def test_table1_tradeoffs():
     """Table 1's three CV rows: the intro's motivating numbers."""
     pipeline = get_pipeline("CV")
     by_name = {p.strategy.split_name: p
-               for p in PROFILER.profile_pipeline(pipeline)}
+               for p in ENGINE.profile_pipeline(pipeline)}
     online = by_name["unprocessed"]
     full = by_name["pixel-centered"]
     resized = by_name["resized"]
@@ -49,14 +49,14 @@ def test_table1_tradeoffs():
 def test_fig3_stall_story():
     """The tuned strategy feeds three of the five accelerators."""
     by_name = {p.strategy.split_name: p.throughput
-               for p in PROFILER.profile_pipeline(get_pipeline("CV"))}
+               for p in ENGINE.profile_pipeline(get_pipeline("CV"))}
     assert devices_unblocked_by(by_name["pixel-centered"]) == []
     assert len(devices_unblocked_by(by_name["resized"])) == 3
 
 
 def test_end_to_end_tuning_flow():
     """The README quickstart flow: profile -> analyse -> recommend."""
-    profiles = PROFILER.profile_pipeline(get_pipeline("CV2-PNG"))
+    profiles = ENGINE.profile_pipeline(get_pipeline("CV2-PNG"))
     analysis = StrategyAnalysis(profiles)
     assert analysis.best_strategy_name(THROUGHPUT_ONLY) == "resized"
     summary = analysis.summary(DEADLINE)
@@ -65,7 +65,7 @@ def test_end_to_end_tuning_flow():
 
 def test_objective_weights_shift_recommendations():
     """The paper's Sec. 3.1 example: deadlines change the answer."""
-    profiles = PROFILER.profile_pipeline(get_pipeline("CV"))
+    profiles = ENGINE.profile_pipeline(get_pipeline("CV"))
     analysis = StrategyAnalysis(profiles)
     throughput_best = analysis.best_strategy_name(ObjectiveWeights(0, 0, 1))
     deadline_best = analysis.best_strategy_name(ObjectiveWeights(5, 0, 1))
@@ -86,16 +86,16 @@ def test_fig14_greyscale_insertion():
     """Sec. 4.6: greyscale before pixel-center nearly triples peak
     throughput; after pixel-center it only helps the final strategy."""
     before = {p.strategy.split_name: p.throughput
-              for p in PROFILER.profile_pipeline(
+              for p in ENGINE.profile_pipeline(
                   get_pipeline("CV+greyscale-before"))}
     base = {p.strategy.split_name: p.throughput
-            for p in PROFILER.profile_pipeline(get_pipeline("CV"))}
+            for p in ENGINE.profile_pipeline(get_pipeline("CV"))}
     # The new peak (applied-greyscale) beats the old peak (resized).
     assert max(before.values()) > 1.8 * base["resized"]
     assert max(before, key=before.get) == "applied-greyscale"
 
     after = {p.strategy.split_name: p.throughput
-             for p in PROFILER.profile_pipeline(
+             for p in ENGINE.profile_pipeline(
                  get_pipeline("CV+greyscale-after"))}
     # Fig. 14b: materialising greyscale after centering still beats
     # materialising the 1.39 TB pixel-centered representation.
