@@ -1,6 +1,8 @@
 """Golden regression tests for the ``presto`` report commands.
 
-Covers ``sweep``/``diagnose``/``serve``/``ctl``/``stream``/``run``.
+Covers ``sweep``/``diagnose``/``serve``/``ctl``/``stream``/``run``
+and the single-pipeline report commands (``profile``/``tune``/
+``fanout``/``cost``/``amortize``/``bottleneck``/``fio``).
 
 Three pipelines (MP3, FLAC, NILM) are covered by the profiling
 commands, and the serving layer pins two trace/policy combinations
@@ -61,6 +63,19 @@ STREAM_CASES = {
                       "--seed", "0"],
 }
 
+#: Single-pipeline report commands on the cheapest pipeline (MP3).
+REPORT_CASES = {
+    "profile_mp3": ["profile", "MP3"],
+    "tune_mp3": ["tune", "MP3"],
+    "fanout_mp3": ["fanout", "MP3"],
+    "fanout_mp3_simulated": ["fanout", "MP3", "--simulate", "--trainers",
+                             "1", "2"],
+    "cost_mp3": ["cost", "MP3"],
+    "amortize_mp3": ["amortize", "MP3"],
+    "bottleneck_mp3": ["bottleneck", "MP3"],
+    "fio": ["fio"],
+}
+
 #: Declarative-path cases; argv paths are relative to the repo root.
 RUN_CASES = {
     "run_sweep_cv": ["run", "examples/experiments/sweep_cv.json"],
@@ -93,6 +108,11 @@ def test_serve_output_matches_golden(golden, name):
 @pytest.mark.parametrize("name", sorted(CTL_CASES))
 def test_ctl_output_matches_golden(golden, name):
     golden.check(name, CTL_CASES[name])
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_output_matches_golden(golden, name):
+    golden.check(name, REPORT_CASES[name])
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
