@@ -73,7 +73,7 @@ class ExperimentPlan:
                  f"backend: {spec.environment.backend}, "
                  f"storage {spec.environment.storage}"]
         if spec.kind in ("serve", "control"):
-            sub = spec.serve if spec.kind == "serve" else spec.control
+            sub = getattr(spec, spec.kind)
             lines.append(
                 f"trace: {sub.trace}(seed {spec.seed}), "
                 f"{sub.tenants} tenants, policy {sub.policy}, "

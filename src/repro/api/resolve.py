@@ -84,10 +84,10 @@ def resolve_storage(name: str):
     return DEVICE_PROFILES[name]
 
 
-def resolve_policy(name: str, allow_all: bool = True) -> str:
+def resolve_policy(name: str) -> str:
     """Validate a scheduler policy name (``"all"`` = compare every one)."""
     from repro.serve.policies import POLICY_NAMES
-    valid = (*POLICY_NAMES, "all") if allow_all else tuple(POLICY_NAMES)
+    valid = (*POLICY_NAMES, "all")
     if name not in valid:
         raise _unknown("policy", name, valid, plural="policies")
     return name

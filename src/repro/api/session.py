@@ -236,19 +236,22 @@ class Session:
         self._report_cache(cache)
         return self._artifact(spec, diagnosis.frame(), text, events)
 
+    def _serve_header(self, spec: ExperimentSpec, sub) -> str:
+        return (f"{sub.tenants} tenants, trace={sub.trace}(seed "
+                f"{spec.seed}), slots={sub.slots}, "
+                f"{spec.environment.storage}")
+
     def _serve_sections(self, spec: ExperimentSpec, sub,
                         report) -> list:
         """The single-policy serve report sections.
 
-        ``sub`` is a ServeSpec or ControlSpec (same scenario fields).
+        ``sub`` is a ServeSpec, or the ControlSpec that extends it.
         Shared so a control run's service view renders *byte-for-byte*
         what ``presto serve`` prints -- the differential guarantee.
         """
         from repro.core.report import service_summary, tenant_table
         from repro.serve import diagnose_service
-        header = (f"{sub.tenants} tenants, trace={sub.trace}(seed "
-                  f"{spec.seed}), slots={sub.slots}, "
-                  f"{spec.environment.storage}")
+        header = self._serve_header(spec, sub)
         return [f"## serve: {header}, policy={sub.policy}",
                 tenant_table(report).to_markdown(), "",
                 service_summary(report), "",
@@ -270,14 +273,12 @@ class Session:
                     "faults cannot be injected into a policy comparison "
                     "(policy='all' runs one simulation per policy); "
                     "pick a single policy")
-            header = (f"{serve.tenants} tenants, trace={serve.trace}(seed "
-                      f"{spec.seed}), slots={serve.slots}, "
-                      f"{spec.environment.storage}")
             result = sweep_policies(trace, slots=serve.slots,
                                     environment=environment,
                                     tie_break=serve.tie_break)
             frame = result.frame()
-            parts = [f"## serve: {header}, policies compared",
+            parts = [f"## serve: {self._serve_header(spec, serve)}, "
+                     f"policies compared",
                      frame.to_markdown(), "",
                      f"best policy by aggregate throughput: "
                      f"{result.best_policy()}"]

@@ -12,13 +12,17 @@ PreprocessingService) take as constructor arguments and ad-hoc CLI
 flags is expressible -- and therefore saveable, diffable and
 replayable -- as one spec.
 
+Each field is declared once, with :func:`spec_field`: its kind,
+bounds and CLI help live in the field's metadata, and validation, the
+``presto`` flags and the spec tests all read it from there.
+
 Round-tripping is lossless: ``ExperimentSpec.from_dict(spec.to_dict())
 == spec`` for every workload kind (pinned by a hypothesis property
 test).  ``from_dict`` validates key names per section and
-:meth:`ExperimentSpec.validate` resolves every registry name through
-:mod:`repro.api.resolve`, so errors are actionable ("unknown pipeline
-'CV3'; did you mean 'CV'? valid pipelines: ...") rather than
-tracebacks.
+:meth:`ExperimentSpec.validate` checks every field against its schema,
+resolving registry names through :mod:`repro.api.resolve`, so errors
+are actionable ("unknown pipeline 'CV3'; did you mean 'CV'? valid
+pipelines: ...") rather than tracebacks.
 
 Fingerprinting reuses :mod:`repro.exec.fingerprint`: the spec
 fingerprint digests the *resolved* canonical descriptions
@@ -36,13 +40,14 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
-from repro.api.resolve import (resolve_arrival, resolve_backend_name,
-                               resolve_pipeline, resolve_pipeline_name,
-                               resolve_policy, resolve_storage,
-                               resolve_strategy_name, resolve_trace)
+from repro.api.resolve import (BACKEND_NAMES, resolve_arrival,
+                               resolve_backend_name, resolve_pipeline,
+                               resolve_pipeline_name, resolve_policy,
+                               resolve_storage, resolve_strategy_name,
+                               resolve_trace)
 from repro.errors import SpecError
 
 #: Workload kinds understood by the Session facade.
@@ -61,13 +66,27 @@ _CACHE_MODES = ("none", "system", "application")
 _TIE_BREAKS = ("arrival", "tenant")
 
 
+def spec_field(default, kind: str, help: Optional[str] = None, **schema):
+    """A spec field whose constraints live in its ``metadata``.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``choice`` (one
+    of ``choices``) or ``name`` (checked by the registry resolver
+    ``resolve``).  Optional keys: the bounds ``min`` (>=), ``gt`` (>)
+    and ``max`` (<=); ``null`` to allow ``None``; ``each`` for a
+    non-empty tuple of such values.  ``help``, ``metavar`` and ``flag``
+    (default ``--field-name``) describe the field's CLI flag.
+    """
+    return field(default=default,
+                 metadata={"kind": kind, "help": help, **schema})
+
+
 def _require_keys(cls, payload: dict, section: str) -> None:
     """Reject unknown keys with the list of valid ones."""
     if not isinstance(payload, dict):
         raise SpecError(
             f"spec section {section!r} must be a mapping, "
             f"got {type(payload).__name__}")
-    valid = {spec_field.name for spec_field in fields(cls)}
+    valid = {declared.name for declared in fields(cls)}
     unknown = sorted(set(payload) - valid)
     if unknown:
         raise SpecError(
@@ -97,33 +116,89 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def _valid(value, schema) -> bool:
+    """One (scalar) value satisfies its field's schema."""
+    kind = schema["kind"]
+    if kind == "bool":
+        return isinstance(value, bool)
+    if kind == "choice":
+        return value in schema["choices"]
+    if kind not in ("int", "float"):
+        return isinstance(value, str)
+    return (_is_number(value, integer=kind == "int")
+            and ("min" not in schema or value >= schema["min"])
+            and ("gt" not in schema or value > schema["gt"])
+            and ("max" not in schema or value <= schema["max"]))
+
+
+def _requirement(schema) -> str:
+    """What a field's schema asks for, as "... must be <requirement>"."""
+    kind = schema["kind"]
+    if kind == "int":
+        text = {0: "an integer >= 0",
+                1: "a positive integer"}.get(schema.get("min"), "an integer")
+    elif kind == "float":
+        bounds = [f"{op} {schema[key]:g}" for key, op
+                  in (("gt", ">"), ("min", ">="), ("max", "<="))
+                  if key in schema]
+        text = " and ".join(["a finite number", *bounds])
+    elif kind == "bool":
+        text = "a boolean"
+    elif kind == "choice":
+        text = f"one of {schema['choices']}"
+    else:
+        text = "a string"
+    if schema.get("each"):
+        text = f"a non-empty list, each item {text}"
+    return text + (" or null" if schema.get("null") else "")
+
+
+def _check_fields(section: str, spec) -> None:
+    """Check every schema-declared field of ``spec`` against its schema.
+
+    Errors name the field as ``section.field`` and show the bad value;
+    registry names also get the resolver's list of valid names.
+    """
+    prefix = f"{section}." if section else ""
+    for declared in fields(spec):
+        schema = declared.metadata
+        value = getattr(spec, declared.name)
+        if not schema or (value is None and schema.get("null")):
+            continue
+        if schema["kind"] == "name":
+            try:
+                schema["resolve"](value)
+            except SpecError as error:
+                raise SpecError(f"{prefix}{declared.name}: {error}") \
+                    from None
+        items = value if schema.get("each") else (value,)
+        _check(bool(items) and all(_valid(item, schema) for item in items),
+               f"{prefix}{declared.name} must be "
+               f"{_requirement(schema)}, got {value!r}")
+
+
+class _Section:
+    """A spec section: :meth:`validate` walks its field schema."""
+
+    def validate(self) -> None:
+        _check_fields(_SECTION_NAMES[type(self)], self)
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Section):
     """Per-run strategy knobs; maps 1:1 onto
     :class:`~repro.backends.base.RunConfig`."""
 
-    threads: int = 8
-    epochs: int = 1
-    compression: Optional[str] = None
-    cache_mode: str = "none"
-    shuffle_buffer: int = 0
-
-    def validate(self) -> None:
-        _check(_is_number(self.threads, integer=True) and self.threads >= 1,
-               f"run.threads must be a positive integer, "
-               f"got {self.threads!r}")
-        _check(_is_number(self.epochs, integer=True) and self.epochs >= 1,
-               f"run.epochs must be a positive integer, got {self.epochs!r}")
-        _check(self.compression in _COMPRESSIONS,
-               f"run.compression must be one of {_COMPRESSIONS}, "
-               f"got {self.compression!r}")
-        _check(self.cache_mode in _CACHE_MODES,
-               f"run.cache_mode must be one of {_CACHE_MODES}, "
-               f"got {self.cache_mode!r}")
-        _check(_is_number(self.shuffle_buffer, integer=True)
-               and self.shuffle_buffer >= 0,
-               f"run.shuffle_buffer must be >= 0, "
-               f"got {self.shuffle_buffer!r}")
+    threads: int = spec_field(8, "int", "reader threads per job", min=1)
+    epochs: int = spec_field(1, "int", "training epochs to simulate",
+                             min=1)
+    compression: Optional[str] = spec_field(
+        None, "choice", "compress the materialised representation",
+        choices=_COMPRESSIONS)
+    cache_mode: str = spec_field(
+        "none", "choice", "epoch-to-epoch data caching behaviour",
+        choices=_CACHE_MODES)
+    shuffle_buffer: int = spec_field(0, "int", min=0)
 
     def to_run_config(self):
         """The equivalent :class:`~repro.backends.base.RunConfig`."""
@@ -135,15 +210,15 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(_Section):
     """Hardware selection: storage device plus execution backend."""
 
-    storage: str = "ceph-hdd"
-    backend: str = "simulated"
-
-    def validate(self) -> None:
-        resolve_storage(self.storage)
-        resolve_backend_name(self.backend)
+    storage: str = spec_field("ceph-hdd", "name", "storage device profile",
+                              resolve=resolve_storage, metavar="DEVICE")
+    backend: str = spec_field(
+        "simulated", "name",
+        "full-scale simulation or real miniature execution",
+        resolve=resolve_backend_name, choices=BACKEND_NAMES)
 
     def to_environment(self):
         """The equivalent :class:`~repro.backends.base.Environment`."""
@@ -161,32 +236,35 @@ class EnvironmentSpec:
 
 
 @dataclass(frozen=True)
-class ExecSpec:
+class ExecSpec(_Section):
     """Sweep-engine settings: worker fan-out, memoization, progress."""
 
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    progress: bool = False
-
-    def validate(self) -> None:
-        _check(_is_number(self.jobs, integer=True) and self.jobs >= 1,
-               f"executor.jobs must be a positive integer, got {self.jobs!r}")
-        _check(self.cache_dir is None or isinstance(self.cache_dir, str),
-               f"executor.cache_dir must be a directory path or null, "
-               f"got {self.cache_dir!r}")
+    jobs: int = spec_field(1, "int",
+                           "parallel profiling workers (default: 1)",
+                           min=1, metavar="N")
+    cache_dir: Optional[str] = spec_field(
+        None, "str", "persist memoized profiles in DIR", null=True,
+        flag="--cache", metavar="DIR")
+    progress: bool = spec_field(False, "bool")
 
 
 @dataclass(frozen=True)
-class TuneSpec:
+class TuneSpec(_Section):
     """Auto-tuning grid and objective (``kind: tune``)."""
 
-    preprocessing_weight: float = 0.0
-    storage_weight: float = 0.0
-    throughput_weight: float = 1.0
-    threads: tuple = (8,)
-    compressions: tuple = (None, "GZIP", "ZLIB")
-    cache_modes: tuple = ("none",)
-    screen_keep: float = 0.5
+    preprocessing_weight: float = spec_field(
+        0.0, "float", "preprocessing-time weight", min=0, flag="--wp")
+    storage_weight: float = spec_field(0.0, "float", "storage weight",
+                                       min=0, flag="--ws")
+    throughput_weight: float = spec_field(1.0, "float", "throughput weight",
+                                          min=0, flag="--wt")
+    threads: tuple = spec_field((8,), "int", "thread counts to search",
+                                min=1, each=True)
+    compressions: tuple = spec_field((None, "GZIP", "ZLIB"), "choice",
+                                     choices=_COMPRESSIONS, each=True)
+    cache_modes: tuple = spec_field(("none",), "choice",
+                                    choices=_CACHE_MODES, each=True)
+    screen_keep: float = spec_field(0.5, "float", gt=0, max=1)
 
     def __post_init__(self):
         object.__setattr__(self, "threads", _as_tuple(self.threads))
@@ -196,30 +274,10 @@ class TuneSpec:
                            _as_tuple(self.cache_modes))
 
     def validate(self) -> None:
-        weights = (self.preprocessing_weight, self.storage_weight,
-                   self.throughput_weight)
-        _check(all(_is_number(w) and w >= 0 for w in weights),
-               f"tune weights must be finite non-negative numbers, "
-               f"got {weights}")
-        _check(any(weights),
+        super().validate()
+        _check(any((self.preprocessing_weight, self.storage_weight,
+                    self.throughput_weight)),
                "at least one tune weight must be positive")
-        _check(bool(self.threads)
-               and all(_is_number(t, integer=True) and t >= 1
-                       for t in self.threads),
-               f"tune.threads must be positive integers, "
-               f"got {self.threads!r}")
-        _check(bool(self.compressions)
-               and all(c in _COMPRESSIONS for c in self.compressions),
-               f"tune.compressions must be a non-empty subset of "
-               f"{_COMPRESSIONS}, got {self.compressions!r}")
-        _check(bool(self.cache_modes)
-               and all(m in _CACHE_MODES for m in self.cache_modes),
-               f"tune.cache_modes entries must be among {_CACHE_MODES}, "
-               f"got {self.cache_modes!r}")
-        _check(_is_number(self.screen_keep)
-               and 0.0 < self.screen_keep <= 1.0,
-               f"tune.screen_keep must be in (0, 1], "
-               f"got {self.screen_keep!r}")
 
     def to_weights(self):
         from repro.core.analysis import ObjectiveWeights
@@ -229,113 +287,82 @@ class TuneSpec:
 
 
 @dataclass(frozen=True)
-class DiagnoseSpec:
+class DiagnoseSpec(_Section):
     """Bottleneck-doctor options (``kind: diagnose``)."""
 
-    verify_top: int = 0
-    sample_count: Optional[int] = None
-
-    def validate(self) -> None:
-        _check(_is_number(self.verify_top, integer=True)
-               and self.verify_top >= 0,
-               f"diagnose.verify_top must be >= 0, got {self.verify_top!r}")
-        _check(self.sample_count is None
-               or (_is_number(self.sample_count, integer=True)
-                   and self.sample_count >= 1),
-               f"diagnose.sample_count must be a positive integer or null, "
-               f"got {self.sample_count!r}")
+    verify_top: int = spec_field(
+        0, "int", "re-run the top N verifiable rewrites and report "
+        "predicted-vs-measured error", min=0, metavar="N")
+    sample_count: Optional[int] = spec_field(
+        None, "int", "diagnose an N-sample subset (cheap look)", min=1,
+        null=True, metavar="N")
 
 
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(_Section):
     """Multi-tenant service scenario (``kind: serve``)."""
 
-    tenants: int = 8
-    trace: str = "steady"
-    policy: str = "fifo"
-    slots: int = 2
-    tie_break: str = "arrival"
-
-    def validate(self) -> None:
-        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
-               f"serve.tenants must be a positive integer, "
-               f"got {self.tenants!r}")
-        _check(_is_number(self.slots, integer=True) and self.slots >= 1,
-               f"serve.slots must be a positive integer, got {self.slots!r}")
-        resolve_trace(self.trace)
-        resolve_policy(self.policy, allow_all=True)
-        _check(self.tie_break in _TIE_BREAKS,
-               f"serve.tie_break must be one of {_TIE_BREAKS}, "
-               f"got {self.tie_break!r}")
+    tenants: int = spec_field(8, "int", "number of tenant jobs", min=1,
+                              metavar="J")
+    trace: str = spec_field("steady", "name", "arrival-trace shape",
+                            resolve=resolve_trace, metavar="KIND")
+    policy: str = spec_field(
+        "fifo", "name", "scheduler policy ('all' compares every one; "
+        "serve only)", resolve=resolve_policy, metavar="POLICY")
+    slots: int = spec_field(2, "int", "concurrent execution slots "
+                            "(initial slots under autoscaling)", min=1)
+    tie_break: str = spec_field(
+        "arrival", "choice", "ordering of simultaneous storage-link "
+        "completions (tenant = deterministic (timestamp, tenant id) "
+        "order)", choices=_TIE_BREAKS)
 
 
 @dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(ServeSpec):
     """Control-plane scenario over the service (``kind: control``).
 
-    The first five fields mirror :class:`ServeSpec` (the underlying
-    service run); the rest configure the control features.  With the
+    Inherits :class:`ServeSpec`'s fields (the underlying service run);
+    the fields declared here configure the control features.  With the
     control defaults (no faults, no admission limit, no preemption, no
     autoscaling) a control run reproduces the equivalent serve run
     byte-for-byte -- the differential guarantee ``tests/ctl`` pins.
     """
 
-    tenants: int = 8
-    trace: str = "steady"
-    policy: str = "fifo"
-    slots: int = 2
-    tie_break: str = "arrival"
-    max_attempts: int = 3
-    backoff_base: float = 60.0
-    backoff_factor: float = 2.0
-    fault_rate: float = 0.0
-    admission_limit: Optional[int] = None
-    preempt: bool = False
-    autoscale: bool = False
-    max_slots: int = 0
-    autoscale_interval: float = 600.0
+    max_attempts: int = spec_field(
+        3, "int", "executions before a crashing job dead-letters", min=1,
+        metavar="N")
+    backoff_base: float = spec_field(
+        60.0, "float", "retry backoff base in simulated seconds", min=0,
+        metavar="S")
+    backoff_factor: float = spec_field(
+        2.0, "float", "exponential retry backoff factor", min=1,
+        metavar="F")
+    fault_rate: float = spec_field(
+        0.0, "float", "seeded fraction of jobs that crash mid-run", min=0,
+        max=1, metavar="R")
+    admission_limit: Optional[int] = spec_field(
+        None, "int", "max in-flight jobs per tenant (default: unlimited)",
+        min=1, null=True, metavar="N")
+    preempt: bool = spec_field(
+        False, "bool", "let the policy preempt running jobs at epoch "
+        "boundaries")
+    autoscale: bool = spec_field(
+        False, "bool", "autoscale slots from serve.doctor findings")
+    max_slots: int = spec_field(
+        0, "int", "autoscale ceiling (default: 2x --slots)", min=0,
+        metavar="N")
+    autoscale_interval: float = spec_field(
+        600.0, "float", "autoscaler tick in simulated seconds", gt=0,
+        metavar="S")
 
     def validate(self) -> None:
-        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
-               f"control.tenants must be a positive integer, "
-               f"got {self.tenants!r}")
-        _check(_is_number(self.slots, integer=True) and self.slots >= 1,
-               f"control.slots must be a positive integer, "
-               f"got {self.slots!r}")
-        resolve_trace(self.trace)
-        resolve_policy(self.policy, allow_all=False)
-        _check(self.tie_break in _TIE_BREAKS,
-               f"control.tie_break must be one of {_TIE_BREAKS}, "
-               f"got {self.tie_break!r}")
-        _check(_is_number(self.max_attempts, integer=True)
-               and self.max_attempts >= 1,
-               f"control.max_attempts must be a positive integer, "
-               f"got {self.max_attempts!r}")
-        _check(_is_number(self.backoff_base)
-               and self.backoff_base >= 0,
-               f"control.backoff_base must be a finite number >= 0, "
-               f"got {self.backoff_base!r}")
-        _check(_is_number(self.backoff_factor)
-               and self.backoff_factor >= 1.0,
-               f"control.backoff_factor must be a finite number >= 1, "
-               f"got {self.backoff_factor!r}")
-        _check(_is_number(self.fault_rate)
-               and 0.0 <= self.fault_rate <= 1.0,
-               f"control.fault_rate must be within [0, 1], "
-               f"got {self.fault_rate!r}")
-        _check(self.admission_limit is None
-               or (_is_number(self.admission_limit, integer=True)
-                   and self.admission_limit >= 1),
-               f"control.admission_limit must be a positive integer or "
-               f"null, got {self.admission_limit!r}")
-        _check(_is_number(self.max_slots, integer=True)
-               and (self.max_slots == 0 or self.max_slots >= self.slots),
+        super().validate()
+        _check(self.policy != "all",
+               "control.policy 'all' is serve-only: a control run uses "
+               "one policy")
+        _check(self.max_slots == 0 or self.max_slots >= self.slots,
                f"control.max_slots must be 0 (auto) or >= slots, "
                f"got {self.max_slots!r}")
-        _check(_is_number(self.autoscale_interval)
-               and self.autoscale_interval > 0,
-               f"control.autoscale_interval must be a finite positive "
-               f"number, got {self.autoscale_interval!r}")
 
     def retry_policy(self):
         """The equivalent :class:`~repro.ctl.retry.RetryPolicy`."""
@@ -355,7 +382,7 @@ class ControlSpec:
 
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(_Section):
     """Streaming inference scenario (``kind: stream``).
 
     Describes a seeded tenant population of request streams: the
@@ -366,48 +393,36 @@ class StreamSpec:
     batch time (``None``/0 disables deadlines).
     """
 
-    tenants: int = 4
-    arrival: str = "poisson"
-    rate: float = 1.0
-    requests: int = 32
-    batch: int = 32
-    workers: int = 2
-    queue_bound: int = 0
-    slo_stretch: Optional[float] = 3.0
-    shed: bool = False
-
-    def validate(self) -> None:
-        _check(_is_number(self.tenants, integer=True) and self.tenants >= 1,
-               f"stream.tenants must be a positive integer, "
-               f"got {self.tenants!r}")
-        resolve_arrival(self.arrival)
-        _check(_is_number(self.rate) and self.rate > 0,
-               f"stream.rate must be a finite positive number, "
-               f"got {self.rate!r}")
-        _check(_is_number(self.requests, integer=True) and self.requests >= 1,
-               f"stream.requests must be a positive integer, "
-               f"got {self.requests!r}")
-        _check(_is_number(self.batch, integer=True) and self.batch >= 1,
-               f"stream.batch must be a positive integer, "
-               f"got {self.batch!r}")
-        _check(_is_number(self.workers, integer=True) and self.workers >= 1,
-               f"stream.workers must be a positive integer, "
-               f"got {self.workers!r}")
-        _check(_is_number(self.queue_bound, integer=True)
-               and self.queue_bound >= 0,
-               f"stream.queue_bound must be >= 0 (0 = unbounded), "
-               f"got {self.queue_bound!r}")
-        _check(self.slo_stretch is None
-               or (_is_number(self.slo_stretch)
-                   and self.slo_stretch > 0),
-               f"stream.slo_stretch must be a finite positive number or "
-               f"null, got {self.slo_stretch!r}")
-        _check(isinstance(self.shed, bool),
-               f"stream.shed must be a boolean, got {self.shed!r}")
+    tenants: int = spec_field(4, "int", "number of tenant request streams",
+                              min=1, metavar="J")
+    arrival: str = spec_field(
+        "poisson", "name", "arrival-process shape (poisson/burst/diurnal)",
+        resolve=resolve_arrival, metavar="KIND")
+    rate: float = spec_field(
+        1.0, "float", "mean request arrival rate per tenant (requests/s)",
+        gt=0, metavar="R")
+    requests: int = spec_field(32, "int", "requests per tenant stream",
+                               min=1, metavar="N")
+    batch: int = spec_field(
+        32, "int", "samples per request batch (latency knob)", min=1,
+        metavar="K")
+    workers: int = spec_field(
+        2, "int", "concurrent request workers per tenant", min=1,
+        metavar="W")
+    queue_bound: int = spec_field(
+        0, "int", "backpressure queue depth per tenant (0 = unbounded)",
+        min=0, metavar="Q")
+    slo_stretch: Optional[float] = spec_field(
+        3.0, "float", "latency budget as a multiple of the analytic batch "
+        "service time (0 disables deadlines)", gt=0, null=True,
+        metavar="F")
+    shed: bool = spec_field(
+        False, "bool", "shed requests arriving at a full queue instead of "
+        "blocking the arrival process")
 
 
 @dataclass(frozen=True)
-class FaultsSpec:
+class FaultsSpec(_Section):
     """Seeded chaos timeline attached to a serve/control/stream run.
 
     Counts select how many windows of each shape
@@ -420,43 +435,22 @@ class FaultsSpec:
     one with no ``faults:`` section at all.
     """
 
-    stragglers: int = 0
-    slowdowns: int = 0
-    brownouts: int = 0
-    blackouts: int = 0
-    crash_windows: int = 0
-    severity: float = 0.5
+    stragglers: int = spec_field(0, "int", min=0)
+    slowdowns: int = spec_field(0, "int", min=0)
+    brownouts: int = spec_field(0, "int", min=0)
+    blackouts: int = spec_field(0, "int", min=0)
+    crash_windows: int = spec_field(0, "int", min=0)
+    severity: float = spec_field(0.5, "float", gt=0, max=1)
     #: Window-placement horizon in simulated seconds; windows landing
     #: past the run's natural end simply never bite.
-    horizon: float = 21600.0
-    checkpoint_epochs: int = 0
-    shed_slo: bool = False
+    horizon: float = spec_field(21600.0, "float", gt=0)
+    checkpoint_epochs: int = spec_field(0, "int", min=0)
+    shed_slo: bool = spec_field(False, "bool")
 
     @property
     def enabled(self) -> bool:
         return bool(self.stragglers or self.slowdowns or self.brownouts
                     or self.blackouts or self.crash_windows)
-
-    def validate(self) -> None:
-        for name in ("stragglers", "slowdowns", "brownouts",
-                     "blackouts", "crash_windows"):
-            value = getattr(self, name)
-            _check(_is_number(value, integer=True) and value >= 0,
-                   f"faults.{name} must be an integer >= 0, "
-                   f"got {value!r}")
-        _check(_is_number(self.severity)
-               and 0.0 < self.severity <= 1.0,
-               f"faults.severity must be in (0, 1], "
-               f"got {self.severity!r}")
-        _check(_is_number(self.horizon) and self.horizon > 0,
-               f"faults.horizon must be a finite positive number, "
-               f"got {self.horizon!r}")
-        _check(_is_number(self.checkpoint_epochs, integer=True)
-               and self.checkpoint_epochs >= 0,
-               f"faults.checkpoint_epochs must be an integer >= 0, "
-               f"got {self.checkpoint_epochs!r}")
-        _check(isinstance(self.shed_slo, bool),
-               f"faults.shed_slo must be a boolean, got {self.shed_slo!r}")
 
     def to_plan(self, seed: int, cores: int = 8):
         """The seeded :class:`~repro.faults.FaultPlan` (None if off)."""
@@ -471,29 +465,25 @@ class FaultsSpec:
 
 
 @dataclass(frozen=True)
-class FanoutSpec:
+class FanoutSpec(_Section):
     """Trainer fan-out study (``kind: fanout``)."""
 
-    strategy: Optional[str] = None
-    trainers: tuple = (1, 2, 4, 8, 16)
-    simulate: bool = False
+    strategy: Optional[str] = spec_field(
+        None, "str", "split name (default: last strategy)", null=True)
+    trainers: tuple = spec_field((1, 2, 4, 8, 16), "int",
+                                 "concurrent trainer counts", min=1,
+                                 each=True)
+    simulate: bool = spec_field(
+        False, "bool", "co-simulate the trainers through the serve layer "
+        "instead of the closed-form link bound")
 
     def __post_init__(self):
         object.__setattr__(self, "trainers", _as_tuple(self.trainers))
 
-    def validate(self) -> None:
-        _check(bool(self.trainers)
-               and all(_is_number(t, integer=True) and t >= 1
-                       for t in self.trainers),
-               f"fanout.trainers must be positive integers, "
-               f"got {self.trainers!r}")
-        _check(self.strategy is None or isinstance(self.strategy, str),
-               f"fanout.strategy must be a split name or null, "
-               f"got {self.strategy!r}")
 
-
-#: Sub-spec sections of an ExperimentSpec, in serialization order.
-_SECTIONS = {
+#: Sub-spec sections of an ExperimentSpec, in serialization order.  A
+#: workload kind with its own options has the section of the same name.
+SECTIONS = {
     "run": RunSpec,
     "environment": EnvironmentSpec,
     "executor": ExecSpec,
@@ -505,6 +495,7 @@ _SECTIONS = {
     "faults": FaultsSpec,
     "fanout": FanoutSpec,
 }
+_SECTION_NAMES = {cls: name for name, cls in SECTIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -531,8 +522,9 @@ class ExperimentSpec:
     stream: StreamSpec = StreamSpec()
     faults: FaultsSpec = FaultsSpec()
     fanout: FanoutSpec = FanoutSpec()
-    seed: int = 0
-    name: str = ""
+    seed: int = spec_field(0, "int", "trace / arrival-schedule seed (runs "
+                           "are deterministic)")
+    name: str = spec_field("", "str")
 
     def __post_init__(self):
         object.__setattr__(self, "pipelines", _as_tuple(self.pipelines))
@@ -551,27 +543,13 @@ class ExperimentSpec:
                    f"got {len(self.pipelines)}: {list(self.pipelines)!r}")
         for pipeline in self.pipelines:
             resolve_pipeline_name(pipeline)
-        _check(_is_number(self.seed, integer=True),
-               f"seed must be an integer, got {self.seed!r}")
-        _check(isinstance(self.name, str),
-               f"name must be a string, got {self.name!r}")
-        self.run.validate()
-        self.environment.validate()
-        self.executor.validate()
-        if self.kind == "tune":
-            self.tune.validate()
-        elif self.kind == "diagnose":
-            self.diagnose.validate()
-        elif self.kind == "serve":
-            self.serve.validate()
-        elif self.kind == "control":
-            self.control.validate()
-        elif self.kind == "stream":
-            self.stream.validate()
-        elif self.kind == "fanout":
-            self.fanout.validate()
+        _check_fields("", self)
+        for section in ("run", "environment", "executor", self.kind,
+                        "faults"):
+            if section in SECTIONS:
+                getattr(self, section).validate()
+        if self.kind == "fanout":
             resolve_strategy_name(self.pipelines[0], self.fanout.strategy)
-        self.faults.validate()
         _check(not self.faults.enabled
                or self.kind in ("serve", "control", "stream"),
                f"faults: only serve/control/stream runs can inject "
@@ -609,7 +587,7 @@ class ExperimentSpec:
             "kind": self.kind,
             "pipelines": list(self.pipelines),
         }
-        for section in _SECTIONS:
+        for section in SECTIONS:
             sub = getattr(self, section)
             record = dataclasses.asdict(sub)
             for key, value in record.items():
@@ -646,7 +624,7 @@ class ExperimentSpec:
                    f"'pipelines' must be a list of pipeline names, "
                    f"got {value!r}")
             kwargs["pipelines"] = tuple(value)
-        for section, section_cls in _SECTIONS.items():
+        for section, section_cls in SECTIONS.items():
             if section in payload:
                 record = payload[section]
                 _require_keys(section_cls, record, section)
@@ -655,10 +633,6 @@ class ExperimentSpec:
             if scalar in payload:
                 kwargs[scalar] = payload[scalar]
         return cls(**kwargs).validate()
-
-    def with_overrides(self, **changes) -> "ExperimentSpec":
-        """A copy with top-level fields replaced (convenience)."""
-        return replace(self, **changes)
 
     # -- fingerprinting ------------------------------------------------------
 
@@ -688,22 +662,11 @@ class ExperimentSpec:
             "backend": self.environment.backend,
             "seed": self.seed,
         }
-        if self.kind == "tune":
-            payload["tune"] = dataclasses.asdict(self.tune)
-        elif self.kind == "diagnose":
-            payload["diagnose"] = dataclasses.asdict(self.diagnose)
-        elif self.kind == "serve":
-            payload["serve"] = dataclasses.asdict(self.serve)
-        elif self.kind == "control":
-            payload["control"] = dataclasses.asdict(self.control)
-        elif self.kind == "stream":
-            payload["stream"] = dataclasses.asdict(self.stream)
-        elif self.kind == "fanout":
-            payload["fanout"] = {
-                **dataclasses.asdict(self.fanout),
-                "strategy": resolve_strategy_name(self.pipelines[0],
-                                                  self.fanout.strategy),
-            }
+        if self.kind in SECTIONS:
+            payload[self.kind] = dataclasses.asdict(getattr(self, self.kind))
+        if self.kind == "fanout":
+            payload["fanout"]["strategy"] = resolve_strategy_name(
+                self.pipelines[0], self.fanout.strategy)
         # The faults payload joins the digest only when the engine is
         # on, so every pre-existing spec fingerprint is unmoved.
         if self.faults.enabled:

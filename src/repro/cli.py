@@ -25,12 +25,15 @@ Subcommands::
     presto trend A.json B.json        host-time deltas across simbench
                                       snapshots, flagging regressions
 
-Every workload subcommand (profile/sweep/tune/diagnose/serve/fanout) is
-a thin shim: it builds an :class:`~repro.api.spec.ExperimentSpec` from
-its flags and hands it to the :class:`~repro.api.session.Session`
-facade, so ``presto profile CV --threads 16`` and a spec file with the
-same contents are the *same experiment* -- same engines, same cache
-keys, same fingerprint, byte-identical report.  ``presto run`` executes
+Every workload subcommand (profile/sweep/tune/diagnose/fanout/serve/
+ctl/stream) is a row of ``_SPEC_COMMANDS``: its flags are spec field
+paths whose type, default and help come from the field schema, and one
+builder turns the parsed flags into an
+:class:`~repro.api.spec.ExperimentSpec` for the
+:class:`~repro.api.session.Session` facade, so ``presto profile CV
+--threads 16`` and a spec file with the same contents are the *same
+experiment* -- same engines, same cache keys, same fingerprint,
+byte-identical report.  ``presto run`` executes
 a saved spec (JSON or the YAML subset), ``presto plan`` prints its
 resolved plan without executing anything.
 
@@ -56,12 +59,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
-from repro.api import (ControlSpec, DiagnoseSpec, EnvironmentSpec,
-                       ExecSpec, ExperimentSpec, FanoutSpec, FaultsSpec,
-                       RunSpec, ServeSpec, Session, StreamSpec, TuneSpec,
-                       load_spec)
+from repro.api import ExperimentSpec, FaultsSpec, Session, load_spec
+from repro.api.spec import SECTIONS, SINGLE_PIPELINE_KINDS
 from repro.core.report import bottleneck_report
 from repro.datasets.catalog import table2_frame
 from repro.errors import ReproError
@@ -70,6 +72,211 @@ from repro.obs.trend import DEFAULT_METRIC, METRIC_DIRECTIONS
 from repro.pipelines.registry import PAPER_PIPELINES, get_pipeline
 from repro.sim.fio import run_fio
 from repro.units import MB
+
+_ENGINE = ("executor.jobs", "executor.cache_dir")
+
+#: The spec-building subcommands: name -> (workload kind, help, flags).
+#: Each flag is an ExperimentSpec field path ("section.field", or a
+#: top-level field); its type, default, choices, metavar and help come
+#: from the field's schema (:func:`repro.api.spec.spec_field`), apart
+#: from the departures in ``_FLAGS``, ``_FROM_FLAG`` and ``_DEFAULTS``.
+#: Single-pipeline kinds also take the pipeline as a positional.
+_SPEC_COMMANDS = {
+    "profile": ("profile", "profile a pipeline", (
+        "run.threads", "run.epochs", "run.compression", "run.cache_mode",
+        "environment.storage", "environment.backend", *_ENGINE)),
+    "sweep": ("sweep", "profile every paper pipeline in one parallel run", (
+        "pipelines", "run.threads", "run.epochs", "environment.storage",
+        "executor.progress", *_ENGINE)),
+    "tune": ("tune", "auto-tune a pipeline", (
+        "tune.preprocessing_weight", "tune.storage_weight",
+        "tune.throughput_weight", "tune.threads", *_ENGINE)),
+    "diagnose": (
+        "diagnose",
+        "attribute epoch time to resources and recommend rewrites", (
+            "run.threads", "run.epochs", "environment.storage",
+            "diagnose.sample_count", "diagnose.verify_top", *_ENGINE)),
+    "fanout": ("fanout", "per-trainer throughput when serving many jobs", (
+        "fanout.strategy", "fanout.trainers", "fanout.simulate")),
+    "serve": (
+        "serve",
+        "simulate a multi-tenant preprocessing service on one shared "
+        "cluster", (
+            "serve.tenants", "serve.policy", "serve.trace", "seed",
+            "serve.slots", "run.epochs", "run.threads",
+            "environment.storage", "serve.tie_break")),
+    "ctl": (
+        "control",
+        "run the serving control plane: dispatcher, execution ledger, "
+        "retry/DLQ, admission, preemption, autoscaling", (
+            "control.tenants", "control.policy", "control.trace", "seed",
+            "control.slots", "run.epochs", "run.threads",
+            "environment.storage", "control.tie_break",
+            "control.max_attempts", "control.backoff_base",
+            "control.backoff_factor", "control.fault_rate",
+            "control.admission_limit", "control.preempt",
+            "control.autoscale", "control.max_slots",
+            "control.autoscale_interval", "faults")),
+    "stream": (
+        "stream",
+        "simulate streaming inference: per-request latency SLOs, "
+        "batching, backpressure", (
+            "stream.tenants", "stream.arrival", "stream.rate",
+            "stream.requests", "stream.batch", "stream.workers",
+            "stream.queue_bound", "stream.slo_stretch", "stream.shed",
+            "seed", "environment.storage", "faults")),
+}
+
+#: Flags that are not one-to-one with a field: option string and
+#: argparse keywords.
+_FLAGS = {
+    "pipelines": ("--pipelines", dict(
+        nargs="+", metavar="PIPELINE", default=list(PAPER_PIPELINES),
+        help="subset of pipelines (default: all seven)")),
+    "executor.progress": ("--quiet", dict(
+        action="store_true", help="suppress per-job progress on stderr")),
+    "faults": ("--faults", dict(
+        metavar="SPEC", default=None,
+        help="seeded chaos timeline, e.g. 'stragglers=1,brownouts=2,"
+             "severity=0.6,horizon=20000'; blackouts, crash-windows, "
+             "checkpoint-epochs and shed-slo need ctl (see "
+             "docs/faults.md)")),
+}
+
+#: Subcommand defaults that differ from the field's: a serve/ctl run
+#: simulates two epochs, a spec file's ``run.epochs`` defaults to one.
+_DEFAULTS = {("serve", "run.epochs"): 2, ("ctl", "run.epochs"): 2}
+
+
+def _cache_dir(value: Optional[str]) -> Optional[str]:
+    if value in ("none", "system", "application"):
+        # ``--cache`` used to select the epoch caching behaviour; that
+        # knob is now ``--cache-mode``.  Its old values double as
+        # plausible directory names, so reject them loudly instead of
+        # silently memoizing profiles into a directory called
+        # "application".
+        raise ReproError(
+            f"--cache now names a profile-cache directory; use "
+            f"--cache-mode {value} for epoch caching behaviour")
+    return value
+
+
+def _parse_flag(text: str) -> bool:
+    """``1/true/yes/on`` or ``0/false/no/off`` in any case; any other
+    spelling raises, so a typo never silently reads as off."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+#: ``--faults`` value parsers by schema kind.
+_FAULT_VALUES = {"int": int, "float": float, "bool": _parse_flag}
+
+
+def _parse_faults(text: Optional[str]) -> FaultsSpec:
+    """Parse a ``--faults 'k=v,k=v'`` chaos spec (None -> disabled).
+
+    The keys are :class:`FaultsSpec`'s fields; dashes are accepted in
+    place of underscores.
+    """
+    if not text:
+        return FaultsSpec()
+    parsers = {declared.name: _FAULT_VALUES[declared.metadata["kind"]]
+               for declared in fields(FaultsSpec)}
+    kwargs = {}
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, value = item.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep or key not in parsers:
+            raise ReproError(
+                f"bad --faults entry {item!r}; expected key=value with "
+                f"keys: {', '.join(k.replace('_', '-') for k in parsers)}")
+        if key in kwargs:
+            raise ReproError(
+                f"duplicate --faults key {key.replace('_', '-')!r}")
+        try:
+            kwargs[key] = parsers[key](value.strip())
+        except ValueError:
+            raise ReproError(
+                f"bad --faults value for {key.replace('_', '-')}: "
+                f"{value.strip()!r}") from None
+    return FaultsSpec(**kwargs)
+
+
+#: Conversions from a parsed flag value to the field value.
+_FROM_FLAG = {
+    "executor.progress": lambda quiet: not quiet,
+    "executor.cache_dir": _cache_dir,
+    "stream.slo_stretch": lambda stretch: stretch or None,  # 0 = null
+    "faults": _parse_faults,
+}
+
+
+def _flag(path: str, command: str = "") -> tuple:
+    """(option string, argparse keywords) of the flag that sets ``path``."""
+    if path in _FLAGS:
+        return _FLAGS[path]
+    section, _, name = path.rpartition(".")
+    owner = SECTIONS[section] if section else ExperimentSpec
+    declared = next(item for item in fields(owner) if item.name == name)
+    schema = declared.metadata
+    default = _DEFAULTS.get((command, path), declared.default)
+    kwargs = {"default": default, "help": schema["help"]}
+    if schema["kind"] == "bool":
+        kwargs["action"] = "store_true"
+    else:
+        kwargs["type"] = {"int": int, "float": float}.get(schema["kind"])
+        kwargs["metavar"] = schema.get("metavar")
+        if "choices" in schema:
+            kwargs["choices"] = [choice for choice in schema["choices"]
+                                 if choice is not None]
+    if schema.get("each"):
+        kwargs.update(nargs="+", default=list(default))
+    return schema.get("flag", f"--{name.replace('_', '-')}"), kwargs
+
+
+def _dest(path: str) -> str:
+    return _flag(path)[0].lstrip("-").replace("-", "_")
+
+
+def _add_flag(parser: argparse.ArgumentParser, path: str,
+              command: str = "") -> None:
+    flag, kwargs = _flag(path, command)
+    parser.add_argument(flag, **kwargs)
+
+
+def _add_spec_command(sub, command: str) -> None:
+    kind, help_text, paths = _SPEC_COMMANDS[command]
+    parser = sub.add_parser(command, help=help_text)
+    if kind in SINGLE_PIPELINE_KINDS:
+        parser.add_argument("pipeline", metavar="PIPELINE")
+    for path in paths:
+        _add_flag(parser, path, command)
+    if kind in ("serve", "control", "stream"):
+        _add_obs_options(parser, follow=kind == "control")
+
+
+def _spec_from(args) -> ExperimentSpec:
+    """The ExperimentSpec a spec-building subcommand's flags describe."""
+    kind, _, paths = _SPEC_COMMANDS[args.command]
+    top = {"kind": kind}
+    if kind in SINGLE_PIPELINE_KINDS:
+        top["pipelines"] = (args.pipeline,)
+    sections: dict = {}
+    for path in paths:
+        value = getattr(args, _dest(path))
+        if path in _FROM_FLAG:
+            value = _FROM_FLAG[path](value)
+        section, _, name = path.rpartition(".")
+        (sections.setdefault(section, {}) if section else top)[name] = value
+    return ExperimentSpec(**top, **{section: SECTIONS[section](**values)
+                                    for section, values in sections.items()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,66 +298,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pipelines", help="list profiled pipelines")
     sub.add_parser("datasets", help="print Table 2 dataset metadata")
 
-    profile = sub.add_parser("profile", help="profile a pipeline")
-    profile.add_argument("pipeline", metavar="PIPELINE")
-    profile.add_argument("--threads", type=int, default=8)
-    profile.add_argument("--epochs", type=int, default=1)
-    profile.add_argument("--compression", choices=["GZIP", "ZLIB"],
-                         default=None)
-    profile.add_argument("--cache-mode",
-                         choices=["none", "system", "application"],
-                         default="none",
-                         help="epoch-to-epoch data caching behaviour")
-    profile.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    profile.add_argument("--backend", choices=["simulated", "inprocess"],
-                         default="simulated")
-    _add_engine_options(profile)
-
-    sweep = sub.add_parser(
-        "sweep", help="profile every paper pipeline in one parallel run")
-    sweep.add_argument("--pipelines", nargs="+", metavar="PIPELINE",
-                       default=list(PAPER_PIPELINES),
-                       help="subset of pipelines (default: all seven)")
-    sweep.add_argument("--threads", type=int, default=8)
-    sweep.add_argument("--epochs", type=int, default=1)
-    sweep.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress per-job progress on stderr")
-    _add_engine_options(sweep)
-
-    tune = sub.add_parser("tune", help="auto-tune a pipeline")
-    tune.add_argument("pipeline", metavar="PIPELINE")
-    tune.add_argument("--wp", type=float, default=0.0,
-                      help="preprocessing-time weight")
-    tune.add_argument("--ws", type=float, default=0.0,
-                      help="storage weight")
-    tune.add_argument("--wt", type=float, default=1.0,
-                      help="throughput weight")
-    tune.add_argument("--threads", type=int, nargs="+", default=[8])
-    _add_engine_options(tune)
+    for command in ("profile", "sweep", "tune"):
+        _add_spec_command(sub, command)
 
     bottleneck = sub.add_parser("bottleneck",
                                 help="per-strategy bottleneck report")
     bottleneck.add_argument("pipeline", metavar="PIPELINE")
-    bottleneck.add_argument("--threads", type=int, default=8)
+    _add_flag(bottleneck, "run.threads")
 
-    diagnose = sub.add_parser(
-        "diagnose",
-        help="attribute epoch time to resources and recommend rewrites")
-    diagnose.add_argument("pipeline", metavar="PIPELINE")
-    diagnose.add_argument("--threads", type=int, default=8)
-    diagnose.add_argument("--epochs", type=int, default=1)
-    diagnose.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    diagnose.add_argument("--sample-count", type=int, default=None,
-                          metavar="N",
-                          help="diagnose an N-sample subset (cheap look)")
-    diagnose.add_argument("--verify-top", type=int, default=0, metavar="N",
-                          help="re-run the top N verifiable rewrites and "
-                               "report predicted-vs-measured error")
-    _add_engine_options(diagnose)
+    _add_spec_command(sub, "diagnose")
 
     fio = sub.add_parser("fio", help="run the Table 3 storage probe")
-    fio.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
+    _add_flag(fio, "environment.storage")
 
     cost = sub.add_parser("cost", help="dollar cost per strategy")
     cost.add_argument("pipeline", metavar="PIPELINE")
@@ -164,134 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     amortize.add_argument("--horizons", type=int, nargs="+",
                           default=[1, 5, 20, 100])
 
-    fanout = sub.add_parser(
-        "fanout", help="per-trainer throughput when serving many jobs")
-    fanout.add_argument("pipeline", metavar="PIPELINE")
-    fanout.add_argument("--strategy", default=None,
-                        help="split name (default: last strategy)")
-    fanout.add_argument("--trainers", type=int, nargs="+",
-                        default=[1, 2, 4, 8, 16])
-    fanout.add_argument("--simulate", action="store_true",
-                        help="co-simulate the trainers through the serve "
-                             "layer instead of the closed-form link bound")
-
-    serve = sub.add_parser(
-        "serve",
-        help="simulate a multi-tenant preprocessing service on one "
-             "shared cluster")
-    serve.add_argument("--tenants", type=int, default=8, metavar="J")
-    serve.add_argument("--policy", metavar="POLICY", default="fifo",
-                       help="scheduler policy ('all' compares every one)")
-    serve.add_argument("--trace", metavar="KIND", default="steady",
-                       help="arrival-trace shape")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="trace-generator seed (runs are deterministic)")
-    serve.add_argument("--slots", type=int, default=2,
-                       help="concurrent execution slots")
-    serve.add_argument("--epochs", type=int, default=2)
-    serve.add_argument("--threads", type=int, default=8,
-                       help="reader threads per tenant job")
-    serve.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    serve.add_argument("--tie-break", choices=["arrival", "tenant"],
-                       default="arrival", dest="tie_break",
-                       help="ordering of simultaneous storage-link "
-                            "completions (tenant = deterministic "
-                            "(timestamp, tenant id) order)")
-    _add_obs_options(serve)
-
-    ctl = sub.add_parser(
-        "ctl",
-        help="run the serving control plane: dispatcher, execution "
-             "ledger, retry/DLQ, admission, preemption, autoscaling")
-    ctl.add_argument("--tenants", type=int, default=8, metavar="J")
-    ctl.add_argument("--policy", metavar="POLICY", default="fifo",
-                     help="scheduler policy (fifo/fair-share/cache-aware)")
-    ctl.add_argument("--trace", metavar="KIND", default="steady",
-                     help="arrival-trace shape")
-    ctl.add_argument("--seed", type=int, default=0,
-                     help="trace-generator seed (runs are deterministic)")
-    ctl.add_argument("--slots", type=int, default=2,
-                     help="initial concurrent execution slots")
-    ctl.add_argument("--epochs", type=int, default=2)
-    ctl.add_argument("--threads", type=int, default=8,
-                     help="reader threads per tenant job")
-    ctl.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    ctl.add_argument("--tie-break", choices=["arrival", "tenant"],
-                     default="arrival", dest="tie_break")
-    ctl.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                     dest="max_attempts",
-                     help="executions before a crashing job dead-letters")
-    ctl.add_argument("--backoff-base", type=float, default=60.0,
-                     metavar="S", dest="backoff_base",
-                     help="retry backoff base in simulated seconds")
-    ctl.add_argument("--backoff-factor", type=float, default=2.0,
-                     metavar="F", dest="backoff_factor",
-                     help="exponential retry backoff factor")
-    ctl.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
-                     dest="fault_rate",
-                     help="seeded fraction of jobs that crash mid-run")
-    ctl.add_argument("--admission-limit", type=int, default=None,
-                     metavar="N", dest="admission_limit",
-                     help="max in-flight jobs per tenant (default: "
-                          "unlimited)")
-    ctl.add_argument("--preempt", action="store_true",
-                     help="let the policy preempt running jobs at epoch "
-                          "boundaries")
-    ctl.add_argument("--autoscale", action="store_true",
-                     help="autoscale slots from serve.doctor findings")
-    ctl.add_argument("--max-slots", type=int, default=0, metavar="N",
-                     dest="max_slots",
-                     help="autoscale ceiling (default: 2x --slots)")
-    ctl.add_argument("--autoscale-interval", type=float, default=600.0,
-                     metavar="S", dest="autoscale_interval",
-                     help="autoscaler tick in simulated seconds")
-    ctl.add_argument("--faults", metavar="SPEC", default=None,
-                     help="seeded chaos timeline, e.g. "
-                          "'stragglers=1,brownouts=2,blackouts=1,"
-                          "crash-windows=1,severity=0.6,horizon=20000,"
-                          "checkpoint-epochs=2,shed-slo=1' "
-                          "(see docs/faults.md)")
-    _add_obs_options(ctl, follow=True)
-
-    stream = sub.add_parser(
-        "stream",
-        help="simulate streaming inference: per-request latency SLOs, "
-             "batching, backpressure")
-    stream.add_argument("--tenants", type=int, default=4, metavar="J")
-    stream.add_argument("--arrival", metavar="KIND", default="poisson",
-                        help="arrival-process shape "
-                             "(poisson/burst/diurnal)")
-    stream.add_argument("--rate", type=float, default=1.0, metavar="R",
-                        help="mean request arrival rate per tenant "
-                             "(requests/s)")
-    stream.add_argument("--requests", type=int, default=32, metavar="N",
-                        help="requests per tenant stream")
-    stream.add_argument("--batch", type=int, default=32, metavar="K",
-                        help="samples per request batch (latency knob)")
-    stream.add_argument("--workers", type=int, default=2, metavar="W",
-                        help="concurrent request workers per tenant")
-    stream.add_argument("--queue-bound", type=int, default=0, metavar="Q",
-                        dest="queue_bound",
-                        help="backpressure queue depth per tenant "
-                             "(0 = unbounded)")
-    stream.add_argument("--slo-stretch", type=float, default=3.0,
-                        metavar="F", dest="slo_stretch",
-                        help="latency budget as a multiple of the "
-                             "analytic batch service time (0 disables "
-                             "deadlines)")
-    stream.add_argument("--shed", action="store_true",
-                        help="shed requests arriving at a full queue "
-                             "instead of blocking the arrival process")
-    stream.add_argument("--seed", type=int, default=0,
-                        help="arrival-schedule seed (runs are "
-                             "deterministic)")
-    stream.add_argument("--storage", metavar="DEVICE", default="ceph-hdd")
-    stream.add_argument("--faults", metavar="SPEC", default=None,
-                        help="seeded chaos timeline, e.g. "
-                             "'stragglers=1,slowdowns=1,severity=0.5' "
-                             "(no blackouts/crash-windows: those need "
-                             "the control plane; see docs/faults.md)")
-    _add_obs_options(stream)
+    for command in ("fanout", "serve", "ctl", "stream"):
+        _add_spec_command(sub, command)
 
     # simlint owns its flags: ``main`` forwards everything after
     # ``lint`` to repro.lint.cli unparsed; this entry lists it in -h.
@@ -324,14 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The sweep-engine knobs shared by profile/tune/diagnose/sweep."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel profiling workers (default: 1)")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="persist memoized profiles in DIR")
-
-
 def _add_obs_options(parser: argparse.ArgumentParser,
                      follow: bool = False) -> None:
     """The telemetry knobs shared by serve/ctl/stream."""
@@ -362,7 +387,8 @@ def _telemetry_from(args):
     """Build a :class:`repro.obs.Telemetry` from CLI flags, or ``None``
     when every telemetry flag is off (the zero-cost default)."""
     follow = getattr(args, "follow", False)
-    if args.metrics_out is None and args.trace_out is None and not follow:
+    if getattr(args, "metrics_out", None) is None \
+            and getattr(args, "trace_out", None) is None and not follow:
         return None
     from repro.obs import Telemetry
     return Telemetry(
@@ -384,41 +410,20 @@ def _write_export(payload: dict, dest: str, what: str) -> None:
         print(f"wrote {what} to {dest}", file=sys.stderr)
 
 
-def _run_observed(spec: ExperimentSpec, args) -> int:
-    """Run a simulation workload with the telemetry flags applied.
+def _cmd_spec(args) -> int:
+    """Run the spec a workload subcommand's flags describe.
 
-    The report stays on stdout exactly as without telemetry; metrics
-    and trace exports follow it (``-``) or land in files.
+    The report goes to stdout, exactly as ``presto run`` prints it;
+    telemetry exports (serve/ctl/stream) follow it (``-``) or land in
+    files.
     """
-    telemetry = _telemetry_from(args)
-    if telemetry is None:
-        return _print_artifact(spec)
-    artifact = Session().run(spec, telemetry=telemetry)
+    artifact = Session().run(_spec_from(args),
+                             telemetry=_telemetry_from(args))
     print(artifact.report)
     if artifact.metrics is not None:
         _write_export(artifact.metrics, args.metrics_out, "metrics")
     if artifact.trace is not None:
         _write_export(artifact.trace, args.trace_out, "trace")
-    return 0
-
-
-def _exec_spec(args, progress: bool = False) -> ExecSpec:
-    if args.cache in ("none", "system", "application"):
-        # ``--cache`` used to select the epoch caching behaviour; that
-        # knob is now ``--cache-mode``.  Its old values double as
-        # plausible directory names, so reject them loudly instead of
-        # silently memoizing profiles into a directory called
-        # "application".
-        raise ReproError(
-            f"--cache now names a profile-cache directory; use "
-            f"--cache-mode {args.cache} for epoch caching behaviour")
-    return ExecSpec(jobs=args.jobs, cache_dir=args.cache,
-                    progress=progress)
-
-
-def _print_artifact(spec: ExperimentSpec) -> int:
-    artifact = Session().run(spec)
-    print(artifact.report)
     return 0
 
 
@@ -452,55 +457,12 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    return _print_artifact(ExperimentSpec(
-        kind="profile",
-        pipelines=(args.pipeline,),
-        run=RunSpec(threads=args.threads, epochs=args.epochs,
-                    compression=args.compression,
-                    cache_mode=args.cache_mode),
-        environment=EnvironmentSpec(storage=args.storage,
-                                    backend=args.backend),
-        executor=_exec_spec(args)))
-
-
-def _cmd_sweep(args) -> int:
-    return _print_artifact(ExperimentSpec(
-        kind="sweep",
-        pipelines=tuple(args.pipelines),
-        run=RunSpec(threads=args.threads, epochs=args.epochs),
-        environment=EnvironmentSpec(storage=args.storage),
-        executor=_exec_spec(args, progress=not args.quiet)))
-
-
-def _cmd_tune(args) -> int:
-    return _print_artifact(ExperimentSpec(
-        kind="tune",
-        pipelines=(args.pipeline,),
-        tune=TuneSpec(preprocessing_weight=args.wp,
-                      storage_weight=args.ws,
-                      throughput_weight=args.wt,
-                      threads=tuple(args.threads)),
-        executor=_exec_spec(args)))
-
-
 def _cmd_bottleneck(args) -> int:
     from repro.api import resolve_pipeline
     from repro.backends import RunConfig
     config = RunConfig(threads=args.threads)
     print(bottleneck_report(resolve_pipeline(args.pipeline), config=config))
     return 0
-
-
-def _cmd_diagnose(args) -> int:
-    return _print_artifact(ExperimentSpec(
-        kind="diagnose",
-        pipelines=(args.pipeline,),
-        run=RunSpec(threads=args.threads, epochs=args.epochs),
-        environment=EnvironmentSpec(storage=args.storage),
-        diagnose=DiagnoseSpec(verify_top=args.verify_top,
-                              sample_count=args.sample_count),
-        executor=_exec_spec(args)))
 
 
 def _cmd_fio(args) -> int:
@@ -544,114 +506,6 @@ def _cmd_amortize(args) -> int:
     return 0
 
 
-def _cmd_fanout(args) -> int:
-    return _print_artifact(ExperimentSpec(
-        kind="fanout",
-        pipelines=(args.pipeline,),
-        fanout=FanoutSpec(strategy=args.strategy,
-                          trainers=tuple(args.trainers),
-                          simulate=args.simulate)))
-
-
-def _parse_flag(text: str) -> bool:
-    """``1/true/yes/on`` or ``0/false/no/off`` in any case; any other
-    spelling raises, so a typo never silently reads as off."""
-    word = text.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-#: ``--faults`` keys -> (FaultsSpec field, coercion).  Dashes are
-#: accepted in place of underscores on the command line.
-_FAULT_KEYS = {
-    "stragglers": int,
-    "slowdowns": int,
-    "brownouts": int,
-    "blackouts": int,
-    "crash_windows": int,
-    "severity": float,
-    "horizon": float,
-    "checkpoint_epochs": int,
-    "shed_slo": _parse_flag,
-}
-
-
-def _parse_faults(text: Optional[str]) -> FaultsSpec:
-    """Parse a ``--faults 'k=v,k=v'`` chaos spec (None -> disabled)."""
-    if not text:
-        return FaultsSpec()
-    kwargs = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in _FAULT_KEYS:
-            raise ReproError(
-                f"bad --faults entry {item!r}; expected key=value with "
-                f"keys: {', '.join(k.replace('_', '-') for k in _FAULT_KEYS)}")
-        if key in kwargs:
-            raise ReproError(
-                f"duplicate --faults key {key.replace('_', '-')!r}")
-        try:
-            kwargs[key] = _FAULT_KEYS[key](value.strip())
-        except ValueError:
-            raise ReproError(
-                f"bad --faults value for {key.replace('_', '-')}: "
-                f"{value.strip()!r}") from None
-    return FaultsSpec(**kwargs)
-
-
-def _cmd_serve(args) -> int:
-    return _run_observed(ExperimentSpec(
-        kind="serve",
-        run=RunSpec(threads=args.threads, epochs=args.epochs),
-        environment=EnvironmentSpec(storage=args.storage),
-        serve=ServeSpec(tenants=args.tenants, trace=args.trace,
-                        policy=args.policy, slots=args.slots,
-                        tie_break=args.tie_break),
-        seed=args.seed), args)
-
-
-def _cmd_ctl(args) -> int:
-    return _run_observed(ExperimentSpec(
-        kind="control",
-        run=RunSpec(threads=args.threads, epochs=args.epochs),
-        environment=EnvironmentSpec(storage=args.storage),
-        control=ControlSpec(tenants=args.tenants, trace=args.trace,
-                            policy=args.policy, slots=args.slots,
-                            tie_break=args.tie_break,
-                            max_attempts=args.max_attempts,
-                            backoff_base=args.backoff_base,
-                            backoff_factor=args.backoff_factor,
-                            fault_rate=args.fault_rate,
-                            admission_limit=args.admission_limit,
-                            preempt=args.preempt,
-                            autoscale=args.autoscale,
-                            max_slots=args.max_slots,
-                            autoscale_interval=args.autoscale_interval),
-        faults=_parse_faults(args.faults),
-        seed=args.seed), args)
-
-
-def _cmd_stream(args) -> int:
-    return _run_observed(ExperimentSpec(
-        kind="stream",
-        environment=EnvironmentSpec(storage=args.storage),
-        stream=StreamSpec(tenants=args.tenants, arrival=args.arrival,
-                          rate=args.rate, requests=args.requests,
-                          batch=args.batch, workers=args.workers,
-                          queue_bound=args.queue_bound,
-                          slo_stretch=args.slo_stretch or None,
-                          shed=args.shed),
-        faults=_parse_faults(args.faults),
-        seed=args.seed), args)
-
-
 def _cmd_trend(args) -> int:
     import json
     from repro.obs.trend import analyze_files
@@ -691,20 +545,14 @@ def _dispatch(args) -> int:
         "plan": lambda: _cmd_plan(args),
         "pipelines": lambda: _cmd_pipelines(),
         "datasets": lambda: _cmd_datasets(),
-        "profile": lambda: _cmd_profile(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "tune": lambda: _cmd_tune(args),
         "bottleneck": lambda: _cmd_bottleneck(args),
-        "diagnose": lambda: _cmd_diagnose(args),
         "fio": lambda: _cmd_fio(args),
         "cost": lambda: _cmd_cost(args),
         "amortize": lambda: _cmd_amortize(args),
-        "fanout": lambda: _cmd_fanout(args),
-        "serve": lambda: _cmd_serve(args),
-        "ctl": lambda: _cmd_ctl(args),
-        "stream": lambda: _cmd_stream(args),
         "trend": lambda: _cmd_trend(args),
     }
+    if args.command in _SPEC_COMMANDS:
+        return _cmd_spec(args)
     return handlers[args.command]()
 
 

@@ -32,7 +32,9 @@ class RetryPolicy:
     backoff_cap: float = 3600.0
 
     def __post_init__(self):
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        if isinstance(self.max_attempts, bool) \
+                or not isinstance(self.max_attempts, int) \
+                or not self.max_attempts >= 1:
             raise ControlError(
                 f"retry.max_attempts must be a positive integer, "
                 f"got {self.max_attempts!r}")

@@ -275,8 +275,9 @@ class PreprocessingService:
                  materialize_offline: bool = True,
                  tie_break: str = "arrival",
                  metrics=None, tracer=None, faults=None):
-        if slots < 1:
-            raise ProfilingError("need at least one execution slot")
+        if isinstance(slots, bool) or not slots >= 1:
+            raise ProfilingError(
+                f"need at least one execution slot, got {slots!r}")
         if tie_break not in ("arrival", "tenant"):
             raise ProfilingError(
                 f"tie_break must be 'arrival' or 'tenant', "

@@ -72,7 +72,7 @@ def test_example_fingerprint_matches_the_shim_spec(name, monkeypatch):
     spec = load_spec(EXAMPLES_DIR / name)
     captured = {}
 
-    def capture(self, shim_spec):
+    def capture(self, shim_spec, telemetry=None):
         captured["fingerprint"] = shim_spec.fingerprint()
         raise _Stop()
 

@@ -1,5 +1,7 @@
 """Tests for the Session facade: plan -> run -> artifact."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (ExecSpec, ExperimentSpec, RunSpec, ServeSpec,
@@ -98,8 +100,8 @@ def test_fanout_simulate_counts_events_and_respects_environment():
     session = Session(stderr=None)
     hdd = session.run(spec)
     assert hdd.events_processed > 0
-    ssd = session.run(spec.with_overrides(
-        environment=EnvironmentSpec(storage="ceph-ssd")))
+    ssd = session.run(replace(
+        spec, environment=EnvironmentSpec(storage="ceph-ssd")))
     assert ssd.report != hdd.report  # the storage device matters
 
 

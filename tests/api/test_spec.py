@@ -1,13 +1,15 @@
 """Unit tests for the ExperimentSpec tree (repro.api.spec)."""
 
 import json
+import re
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.api import (DiagnoseSpec, EnvironmentSpec, ExecSpec,
                        ExperimentSpec, FanoutSpec, RunSpec, ServeSpec,
                        SpecError, TuneSpec)
-from repro.api.spec import SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
+from repro.api.spec import SECTIONS, SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
 from repro.cli import main
 
 
@@ -119,17 +121,30 @@ def test_section_validation_errors_are_actionable(section, payload,
         spec.validate()
 
 
-#: Every registry-name field, with a spec that reaches its resolver.
-NAME_FIELDS = [
-    ("serve", "environment", "storage"),
-    ("serve", "environment", "backend"),
-    ("serve", "serve", "policy"),
-    ("serve", "serve", "trace"),
-    ("stream", "stream", "arrival"),
-]
+def schema_fields(*kinds) -> list:
+    """``(section, field, schema)`` of every schema-declared field ("" is
+    the top level), optionally only those of the given schema kinds."""
+    owners = [("", ExperimentSpec), *SECTIONS.items()]
+    return [(section, spec_field.name, spec_field.metadata)
+            for section, owner in owners for spec_field in fields(owner)
+            if spec_field.metadata
+            and (not kinds or spec_field.metadata["kind"] in kinds)]
 
 
-@pytest.mark.parametrize("kind,section,key", NAME_FIELDS)
+def _spec_with(section: str, key: str, value) -> dict:
+    """A spec payload whose workload kind validates ``section.key``."""
+    kind = section if section in WORKLOAD_KINDS else \
+        {"faults": "control"}.get(section, "serve")
+    payload = {"kind": kind}
+    payload.update({section: {key: value}} if section else {key: value})
+    if kind in SINGLE_PIPELINE_KINDS:
+        payload["pipelines"] = ["MP3"]
+    return payload
+
+
+@pytest.mark.parametrize("kind,section,key", [
+    (_spec_with(section, key, None)["kind"], section, key)
+    for section, key, _ in schema_fields("name")])
 @pytest.mark.parametrize("value", [{}, ["hdd"]])
 def test_non_string_names_are_spec_errors(kind, section, key, value,
                                           tmp_path, capsys):
@@ -142,40 +157,55 @@ def test_non_string_names_are_spec_errors(kind, section, key, value,
     assert "expected a string" in capsys.readouterr().err
 
 
-#: Every numeric spec field, with the workload kind that validates it.
-NUMERIC_FIELDS = [
-    ("tune", "preprocessing_weight"), ("tune", "storage_weight"),
-    ("tune", "throughput_weight"), ("tune", "screen_keep"),
-    ("control", "backoff_base"), ("control", "backoff_factor"),
-    ("control", "fault_rate"), ("control", "autoscale_interval"),
-    ("stream", "rate"), ("stream", "slo_stretch"),
-    ("faults", "severity"), ("faults", "horizon"),
-]
-#: Integer fields reached through a section, with their workload kind.
-INTEGER_FIELDS = [
-    ("run", "threads"), ("run", "epochs"), ("executor", "jobs"),
-    ("serve", "tenants"), ("serve", "slots"), ("control", "max_attempts"),
-    ("control", "max_slots"), ("stream", "requests"), ("stream", "batch"),
-    ("stream", "queue_bound"), ("faults", "stragglers"),
-    ("faults", "checkpoint_epochs"), ("diagnose", "verify_top"),
-]
-
-
-def _spec_with(section: str, key: str, value) -> dict:
-    kind = {"run": "serve", "executor": "serve",
-            "faults": "control"}.get(section, section)
-    payload = {"kind": kind, section: {key: value}}
-    if kind in SINGLE_PIPELINE_KINDS:
-        payload["pipelines"] = ["MP3"]
-    return payload
-
-
-@pytest.mark.parametrize("section,key", NUMERIC_FIELDS + INTEGER_FIELDS)
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, key, _ in schema_fields("int", "float")
+    if section])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
                                    float("nan"), True])
 def test_numbers_must_be_finite_and_not_booleans(section, key, value):
-    with pytest.raises(SpecError, match=f"{section}.{key}|tune weights"):
+    with pytest.raises(SpecError, match=f"{section}.{key}"):
         ExperimentSpec.from_dict(_spec_with(section, key, value))
+
+
+#: Wrong-typed values per schema kind: a bool or non-finite value for a
+#: number, a non-bool for a bool, a container for a name or string.
+WRONG_VALUES = {
+    "int": [True, 1.5, "3"],
+    "float": [True, float("nan"), float("inf"), "1.0"],
+    "bool": ["no", "false", 1],
+    "choice": [[], "bogus"],
+    "name": [[], 7],
+    "str": [[], 7],
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, key, value,
+                 id=f"{section or 'spec'}.{key}={value!r}")
+    for section, key, schema in schema_fields()
+    for value in WRONG_VALUES[schema["kind"]]])
+def test_wrong_typed_values_name_the_field(section, key, value, tmp_path,
+                                           capsys):
+    """Every schema field rejects a wrong-typed value with a SpecError
+    naming the field, and ``presto plan`` exits 2 on such a file."""
+    field_path = f"{section}.{key}" if section else key
+    payload = _spec_with(section, key, value)
+    with pytest.raises(SpecError, match=re.escape(field_path)):
+        ExperimentSpec.from_dict(payload)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    assert main(["plan", str(path)]) == 2
+    assert field_path in capsys.readouterr().err
+
+
+def test_yaml_no_is_not_a_boolean(tmp_path, capsys):
+    """The YAML subset reads ``no`` as a string: it must not switch
+    preemption on."""
+    path = tmp_path / "spec.yaml"
+    path.write_text("kind: control\ncontrol:\n  preempt: no\n")
+    assert main(["plan", str(path)]) == 2
+    assert "control.preempt must be a boolean, got 'no'" \
+        in capsys.readouterr().err
 
 
 def test_seed_must_not_be_a_boolean():
@@ -216,24 +246,24 @@ def test_fingerprint_is_stable_across_rebuilds():
 def test_fingerprint_tracks_resolved_work():
     base = spec_for("profile")
     assert base.fingerprint() \
-        != base.with_overrides(run=RunSpec(threads=16)).fingerprint()
+        != replace(base, run=RunSpec(threads=16)).fingerprint()
     assert base.fingerprint() \
-        != base.with_overrides(pipelines=("FLAC",)).fingerprint()
+        != replace(base, pipelines=("FLAC",)).fingerprint()
     assert base.fingerprint() \
-        != base.with_overrides(kind="diagnose").fingerprint()
-    assert base.fingerprint() != base.with_overrides(
-        environment=EnvironmentSpec(storage="ceph-ssd")).fingerprint()
+        != replace(base, kind="diagnose").fingerprint()
+    assert base.fingerprint() != replace(
+        base, environment=EnvironmentSpec(storage="ceph-ssd")).fingerprint()
 
 
 def test_fingerprint_ignores_executor_settings():
     """jobs/cache/progress change *how* work runs, never its result."""
     base = spec_for("sweep")
-    parallel = base.with_overrides(
-        executor=ExecSpec(jobs=8, cache_dir="/tmp/x", progress=True))
+    parallel = replace(
+        base, executor=ExecSpec(jobs=8, cache_dir="/tmp/x", progress=True))
     assert base.fingerprint() == parallel.fingerprint()
 
 
 def test_serve_seed_is_part_of_the_fingerprint():
     base = spec_for("serve")
     assert base.fingerprint() \
-        != base.with_overrides(seed=1).fingerprint()
+        != replace(base, seed=1).fingerprint()

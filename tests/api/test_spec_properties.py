@@ -1,88 +1,113 @@
 """Property test: spec round-trips are identity for every workload kind.
 
-``ExperimentSpec.from_dict(spec.to_dict()) == spec`` over randomly
-populated spec trees -- the lossless-serialization contract of the
-declarative API.  Uses hypothesis when available (derandomized, like
-the fingerprint property suite); otherwise a fixed-seed random sweep.
+``ExperimentSpec.from_dict(spec.to_dict()) == spec`` over random spec
+trees -- the lossless-serialization contract of the declarative API.
+Every field is drawn from its schema (:func:`repro.api.spec.spec_field`),
+so a new field is covered as soon as it is declared; only the
+hand-written cross-field rules are restated here.  Derandomized, like
+the fingerprint property suite.
 """
 
-import random
+from dataclasses import fields, replace
 
-from repro.api import (ControlSpec, DiagnoseSpec, EnvironmentSpec,
-                       ExecSpec, ExperimentSpec, FanoutSpec, RunSpec,
-                       ServeSpec, StreamSpec, TuneSpec)
-from repro.api.spec import SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is optional
-    HAVE_HYPOTHESIS = False
+from repro.api import (ExperimentSpec, resolve_arrival, resolve_backend_name,
+                       resolve_pipeline, resolve_policy, resolve_storage,
+                       resolve_trace)
+from repro.api.resolve import BACKEND_NAMES
+from repro.api.spec import SECTIONS, SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
+from repro.serve.jobs import TRACE_KINDS
+from repro.serve.policies import POLICY_NAMES
+from repro.sim.storage import DEVICE_PROFILES
+from repro.stream.requests import ARRIVAL_KINDS
 
 N_EXAMPLES = 60
 
 PIPELINES = ("CV", "CV2-JPG", "NLP", "NILM", "MP3", "FLAC")
-STORAGES = ("ceph-hdd", "ceph-ssd")
-COMPRESSIONS = (None, "GZIP", "ZLIB")
-CACHE_MODES = ("none", "system", "application")
-TRACES = ("steady", "bursty", "diurnal", "poisson")
-POLICIES = ("fifo", "fair-share", "cache-aware", "all")
-TIE_BREAKS = ("arrival", "tenant")
-ARRIVALS = ("poisson", "burst", "diurnal")
+
+#: The names each registry resolver accepts.
+REGISTRIES = {
+    resolve_storage: tuple(DEVICE_PROFILES),
+    resolve_backend_name: BACKEND_NAMES,
+    resolve_trace: tuple(TRACE_KINDS),
+    resolve_policy: (*POLICY_NAMES, "all"),
+    resolve_arrival: tuple(ARRIVAL_KINDS),
+}
+
+#: The hand-written cross-field rules of each section.
+SECTION_RULES = {
+    "tune": lambda tune: any((tune.preprocessing_weight,
+                              tune.storage_weight,
+                              tune.throughput_weight)),
+    "control": lambda control: control.policy != "all" and (
+        control.max_slots == 0 or control.max_slots >= control.slots),
+}
 
 
-def make_spec(kind_index: int, pipeline_indices: tuple, threads: int,
-              epochs: int, compression_index: int, cache_index: int,
-              jobs: int, progress: bool, tenants: int, trace_index: int,
-              policy_index: int, slots: int, tie_index: int,
-              arrival_index: int, verify_top: int, sample_count: int,
-              wp: float, ws: float,
-              tune_threads: tuple, screen_keep: float, trainers: tuple,
-              simulate: bool, storage_index: int, seed: int,
-              name: str) -> ExperimentSpec:
-    """Build a valid spec from plain drawable primitives."""
-    kind = WORKLOAD_KINDS[kind_index]
-    if kind in SINGLE_PIPELINE_KINDS:
-        pipelines = (PIPELINES[pipeline_indices[0]],)
-    elif kind in ("serve", "control", "stream"):
-        pipelines = ()
+def value_strategy(schema) -> st.SearchStrategy:
+    """Valid values of one field, read from its schema."""
+    kind = schema["kind"]
+    if kind == "int":
+        low = schema.get("min", 0)
+        values = st.integers(low, low + 64)
+    elif kind == "float":
+        values = st.floats(schema.get("min", schema.get("gt", 0.0)),
+                           schema.get("max", 1e6),
+                           exclude_min="gt" in schema,
+                           allow_nan=False, allow_infinity=False)
+    elif kind == "bool":
+        values = st.booleans()
+    elif kind == "choice":
+        values = st.sampled_from(schema["choices"])
+    elif kind == "name":
+        values = st.sampled_from(REGISTRIES[schema["resolve"]])
     else:
-        pipelines = tuple(dict.fromkeys(
-            PIPELINES[i] for i in pipeline_indices))
-    return ExperimentSpec(
-        kind=kind,
-        pipelines=pipelines,
-        run=RunSpec(threads=threads, epochs=epochs,
-                    compression=COMPRESSIONS[compression_index],
-                    cache_mode=CACHE_MODES[cache_index]),
-        environment=EnvironmentSpec(storage=STORAGES[storage_index]),
-        executor=ExecSpec(jobs=jobs, progress=progress),
-        tune=TuneSpec(preprocessing_weight=wp, storage_weight=ws,
-                      threads=tuple(tune_threads),
-                      screen_keep=screen_keep),
-        diagnose=DiagnoseSpec(verify_top=verify_top,
-                              sample_count=sample_count or None),
-        serve=ServeSpec(tenants=tenants, trace=TRACES[trace_index],
-                        policy=POLICIES[policy_index], slots=slots,
-                        tie_break=TIE_BREAKS[tie_index]),
-        control=ControlSpec(tenants=tenants, trace=TRACES[trace_index],
-                            # "all" is serve-only; control runs one policy
-                            policy=POLICIES[policy_index % 3],
-                            slots=slots, tie_break=TIE_BREAKS[tie_index],
-                            max_attempts=epochs,
-                            fault_rate=min(wp / 4.0, 1.0),
-                            admission_limit=verify_top or None,
-                            preempt=progress, autoscale=simulate),
-        stream=StreamSpec(tenants=tenants,
-                          arrival=ARRIVALS[arrival_index],
-                          rate=ws, requests=(sample_count % 64) + 1,
-                          batch=threads, workers=slots,
-                          queue_bound=verify_top,
-                          slo_stretch=(wp + 0.5) if progress else None,
-                          shed=simulate),
-        fanout=FanoutSpec(trainers=tuple(trainers), simulate=simulate),
-        seed=seed, name=name)
+        values = st.text(alphabet="abc-", max_size=8)
+    if schema.get("each"):
+        values = st.lists(values, min_size=1, max_size=3).map(tuple)
+    return st.none() | values if schema.get("null") else values
+
+
+def fields_strategy(owner) -> dict:
+    return {spec_field.name: value_strategy(spec_field.metadata)
+            for spec_field in fields(owner) if spec_field.metadata}
+
+
+@st.composite
+def specs(draw) -> ExperimentSpec:
+    kind = draw(st.sampled_from(WORKLOAD_KINDS))
+    sections = {}
+    for name, owner in SECTIONS.items():
+        section = st.builds(owner, **fields_strategy(owner))
+        if name in SECTION_RULES:
+            section = section.filter(SECTION_RULES[name])
+        sections[name] = draw(section)
+    if kind in SINGLE_PIPELINE_KINDS:
+        pipelines = (draw(st.sampled_from(PIPELINES)),)
+    elif kind == "sweep":
+        pipelines = tuple(draw(st.lists(st.sampled_from(PIPELINES),
+                                        max_size=3, unique=True)))
+    else:
+        pipelines = ()
+    if kind == "fanout":
+        names = resolve_pipeline(pipelines[0]).strategy_names()
+        sections["fanout"] = replace(
+            sections["fanout"],
+            strategy=draw(st.none() | st.sampled_from(names)))
+    # Fault gating: fail-stop shapes and recovery knobs need the control
+    # plane, and only the simulated service kinds inject faults at all.
+    faults = sections["faults"]
+    if kind != "control":
+        faults = replace(faults, blackouts=0, crash_windows=0,
+                         checkpoint_epochs=0, shed_slo=False)
+    if kind not in ("serve", "control", "stream"):
+        faults = replace(faults, stragglers=0, slowdowns=0, brownouts=0)
+    sections["faults"] = faults
+    top = draw(st.fixed_dictionaries(fields_strategy(ExperimentSpec)))
+    return ExperimentSpec(kind=kind, pipelines=pipelines, **sections,
+                          **top)
 
 
 def check_round_trip(spec: ExperimentSpec) -> None:
@@ -94,64 +119,15 @@ def check_round_trip(spec: ExperimentSpec) -> None:
     assert rebuilt.fingerprint() == spec.fingerprint()
 
 
-if HAVE_HYPOTHESIS:
-    spec_strategy = st.builds(
-        make_spec,
-        st.integers(0, len(WORKLOAD_KINDS) - 1),
-        st.lists(st.integers(0, len(PIPELINES) - 1), min_size=1,
-                 max_size=3).map(tuple),
-        st.integers(1, 64),
-        st.integers(1, 4),
-        st.integers(0, len(COMPRESSIONS) - 1),
-        st.integers(0, len(CACHE_MODES) - 1),
-        st.integers(1, 8),
-        st.booleans(),
-        st.integers(1, 128),
-        st.integers(0, len(TRACES) - 1),
-        st.integers(0, len(POLICIES) - 1),
-        st.integers(1, 16),
-        st.integers(0, len(TIE_BREAKS) - 1),
-        st.integers(0, len(ARRIVALS) - 1),
-        st.integers(0, 3),
-        st.integers(0, 4096),
-        st.floats(0.0, 4.0, allow_nan=False),
-        st.floats(0.1, 4.0, allow_nan=False),
-        st.lists(st.integers(1, 32), min_size=1, max_size=3).map(tuple),
-        st.floats(0.1, 1.0, allow_nan=False),
-        st.lists(st.integers(1, 32), min_size=1, max_size=4).map(tuple),
-        st.booleans(),
-        st.integers(0, len(STORAGES) - 1),
-        st.integers(0, 2 ** 31),
-        st.text(alphabet="abc-", max_size=8))
+def test_every_name_field_has_a_registry():
+    resolvers = {spec_field.metadata["resolve"]
+                 for owner in SECTIONS.values()
+                 for spec_field in fields(owner)
+                 if spec_field.metadata.get("kind") == "name"}
+    assert resolvers <= set(REGISTRIES)
 
-    @given(spec_strategy)
-    @settings(max_examples=N_EXAMPLES, derandomize=True, deadline=None)
-    def test_spec_round_trip_is_identity(spec):
-        check_round_trip(spec)
 
-else:  # pragma: no cover - exercised only without hypothesis
-    def test_spec_round_trip_is_identity():
-        rng = random.Random(0xC0FFEE)
-        for _ in range(N_EXAMPLES):
-            spec = make_spec(
-                rng.randrange(len(WORKLOAD_KINDS)),
-                tuple(rng.randrange(len(PIPELINES))
-                      for _ in range(rng.randint(1, 3))),
-                rng.randint(1, 64), rng.randint(1, 4),
-                rng.randrange(len(COMPRESSIONS)),
-                rng.randrange(len(CACHE_MODES)),
-                rng.randint(1, 8), rng.random() < 0.5,
-                rng.randint(1, 128), rng.randrange(len(TRACES)),
-                rng.randrange(len(POLICIES)), rng.randint(1, 16),
-                rng.randrange(len(TIE_BREAKS)),
-                rng.randrange(len(ARRIVALS)), rng.randint(0, 3),
-                rng.randint(0, 4096), rng.uniform(0, 4),
-                rng.uniform(0.1, 4),
-                tuple(rng.randint(1, 32)
-                      for _ in range(rng.randint(1, 3))),
-                rng.uniform(0.1, 1.0),
-                tuple(rng.randint(1, 32)
-                      for _ in range(rng.randint(1, 4))),
-                rng.random() < 0.5, rng.randrange(len(STORAGES)),
-                rng.randrange(2 ** 31), "seeded")
-            check_round_trip(spec)
+@given(specs())
+@settings(max_examples=N_EXAMPLES, derandomize=True, deadline=None)
+def test_spec_round_trip_is_identity(spec):
+    check_round_trip(spec)

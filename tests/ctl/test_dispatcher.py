@@ -7,7 +7,7 @@ from repro.ctl import (CANCELLED, DEADLETTER, SUCCEEDED, AutoscaleConfig,
                        Dispatcher, RetryPolicy, control_summary,
                        control_table)
 from repro.ctl import ledger as lc
-from repro.errors import ControlError
+from repro.errors import ControlError, ProfilingError
 from repro.serve import JobSpec
 
 
@@ -45,6 +45,12 @@ class TestConstruction:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ControlError):
             RetryPolicy().backoff(0)
+        with pytest.raises(ControlError, match="max_attempts"):
+            RetryPolicy(max_attempts=True)
+
+    def test_nan_slots_rejected(self):
+        with pytest.raises(ProfilingError, match="execution slot"):
+            Dispatcher(slots=float("nan"))
 
     @pytest.mark.parametrize("value", [float("nan"), -1.0],
                              ids=["nan", "neg"])

@@ -37,6 +37,11 @@ class TestServiceBasics:
         with pytest.raises(ProfilingError):
             PreprocessingService(slots=0)
 
+    @pytest.mark.parametrize("slots", [float("nan"), True, -1])
+    def test_nan_and_boolean_slots_rejected(self, slots):
+        with pytest.raises(ProfilingError, match="execution slot"):
+            PreprocessingService(slots=slots)
+
     def test_single_tenant_matches_the_single_job_backend(self):
         """The uncontended limit: a one-tenant service run is exactly a
         SimulatedBackend run under system caching."""

@@ -44,3 +44,43 @@ def test_cited_paths_exist(source):
     missing = sorted({cited for origin, cited in _citations()
                       if origin == source and not (REPO / cited).exists()})
     assert not missing, f"{source} cites missing paths: {missing}"
+
+
+def _cli_doc_sections() -> dict:
+    """``docs/cli.md`` split on its ``## `` headings, keyed by the
+    subcommand a heading names ("telemetry" for the shared flag group)."""
+    sections, key = {}, None
+    for line in (REPO / "docs" / "cli.md").read_text().splitlines():
+        if line.startswith("## "):
+            words = line.strip("#` ").split()
+            key = words[1] if words[0] == "presto" else words[0].lower()
+            sections[key] = ""
+        elif key is not None:
+            sections[key] += line + "\n"
+    return sections
+
+
+def _parser_flags() -> dict:
+    import argparse
+
+    from repro.cli import _build_parser
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: [option for action in parser._actions
+                      for option in action.option_strings
+                      if option not in ("-h", "--help")]
+            for command, parser in subparsers.choices.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_parser_flags()))
+def test_cli_doc_lists_every_flag(command):
+    """Each flag a subcommand's parser exposes appears in that
+    subcommand's section of docs/cli.md; serve, ctl and stream may
+    leave their telemetry flags to the shared telemetry section."""
+    sections = _cli_doc_sections()
+    text = sections[command]
+    if command in ("serve", "ctl", "stream"):
+        text += sections["telemetry"]
+    missing = [flag for flag in _parser_flags()[command]
+               if not re.search(rf"(?<![\w-]){flag}(?![\w-])", text)]
+    assert not missing, f"docs/cli.md `presto {command}` lacks {missing}"
