@@ -16,6 +16,7 @@ scoped to its tenant; the read-link finding is scoped to ``cluster``.
 
 from __future__ import annotations
 
+from array import array
 from math import ceil
 
 from repro.errors import DiagnosisError
@@ -32,8 +33,9 @@ def _wait_service_p99(tenant: TenantStreamResult) -> tuple:
     """The tenant's (queue-wait p99, service-time p99) split."""
     log = tenant.log
     done = tenant.tally.completed
-    waits = [log.started[row] - log.arrival[row] for row in done]
-    services = [log.completed[row] - log.started[row] for row in done]
+    waits = array("d", (log.started[row] - log.arrival[row] for row in done))
+    services = array("d", (log.completed[row] - log.started[row]
+                           for row in done))
     return (percentile(waits, 99) if waits else 0.0,
             percentile(services, 99) if services else 0.0)
 

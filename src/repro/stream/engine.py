@@ -177,7 +177,7 @@ class StreamingService:
         pinned = False
         if plans is not None and spec.tenant in plans:
             log = self._planned_log(spec, plans[spec.tenant])
-            pinned = log.pinned[0] >= 0
+            pinned = log.pinned is not None
         else:
             # Stride over the artifact in batch-sized chunks: a request
             # re-reading a chunk within cache lifetime hits the shared

@@ -14,6 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isnan, nan
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -78,6 +79,29 @@ def _or_none(value: float) -> Optional[float]:
     return None if isnan(value) else value
 
 
+class _Joined:
+    """Float columns read end to end as one, without copying them.
+
+    Gives :func:`~repro.serve.service.percentile` what it reads: the
+    length, and the values forwards and backwards.  Over a whole run a
+    joined copy would cost 8 bytes a request at every render.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[array]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return sum(map(len, self.columns))
+
+    def __iter__(self):
+        return chain.from_iterable(self.columns)
+
+    def __reversed__(self):
+        return chain.from_iterable(map(reversed, reversed(self.columns)))
+
+
 class RequestLog:
     """One tenant's requests as typed columns, one row per request.
 
@@ -85,16 +109,19 @@ class RequestLog:
     them in order, and queues, hand-offs and the request body pass the
     int position around.  Timestamps are ``array('d')`` columns holding
     NaN until set (each double is stored exactly, so every timestamp
-    expression reads back the value it wrote); ``pinned``/``worker`` are
-    -1 when unset and ``shed`` is a ``bytearray`` of 0/1 flags.
-    ``order`` lists the positions in completion order.
+    expression reads back the value it wrote); ``worker``, ``chunk`` and
+    ``order`` are ``array('i')``; ``pinned``/``worker`` are -1 when
+    unset and ``shed`` is a ``bytearray`` of 0/1 flags.  ``order`` lists
+    the positions in completion order.  A seeded stream's ``index`` is
+    ``range(rows)``, and a log with no pinned request has no ``pinned``
+    column (``None``).
     """
 
     __slots__ = ("index", "arrival", "batch", "chunk", "pinned",
                  "deadline", "worker", "enqueued", "started",
                  "completed", "shed", "order")
 
-    def __init__(self, index: array, arrival: array, batch: array,
+    def __init__(self, index: Sequence[int], arrival: array, batch: array,
                  chunk: array, pinned: Optional[array] = None):
         rows = len(arrival)
         unset = array("d", [nan]) * rows
@@ -102,15 +129,14 @@ class RequestLog:
         self.arrival = arrival
         self.batch = batch
         self.chunk = chunk
-        self.pinned = (array("q", [-1]) * rows if pinned is None
-                       else pinned)
+        self.pinned = pinned
         self.deadline = array("d", unset)
-        self.worker = array("q", [-1]) * rows
+        self.worker = array("i", [-1]) * rows
         self.enqueued = array("d", unset)
         self.started = array("d", unset)
         self.completed = array("d", unset)
         self.shed = bytearray(rows)
-        self.order = array("q")
+        self.order = array("i")
 
     @classmethod
     def from_schedule(cls, arrivals: Sequence[float], batch: int,
@@ -118,19 +144,21 @@ class RequestLog:
         """A seeded stream: request ``i`` arrives at ``arrivals[i]``
         (sorted) and reads ``batch`` samples of its chunk."""
         rows = len(arrivals)
-        return cls(array("q", range(rows)), array("d", arrivals),
-                   array("q", [batch]) * rows, array("q", chunks))
+        return cls(range(rows), array("d", arrivals),
+                   array("q", [batch]) * rows, array("i", chunks))
 
     @classmethod
     def _from_rows(cls, rows: Sequence, pinned: Iterable[Optional[int]]
                    ) -> "RequestLog":
-        """A log of ``rows`` (plans or records) in the order given."""
+        """A log of ``rows`` (plans or records) in the order given; it
+        has a ``pinned`` column only if some row is pinned."""
+        workers = [-1 if worker is None else worker for worker in pinned]
         return cls(array("q", (row.index for row in rows)),
                    array("d", (row.arrival for row in rows)),
                    array("q", (row.batch for row in rows)),
-                   array("q", (row.chunk for row in rows)),
-                   array("q", (-1 if worker is None else worker
-                               for worker in pinned)))
+                   array("i", (row.chunk for row in rows)),
+                   array("i", workers) if max(workers, default=-1) >= 0
+                   else None)
 
     @classmethod
     def from_plans(cls, plans: Iterable) -> "RequestLog":
@@ -148,13 +176,13 @@ class RequestLog:
         log = cls._from_rows(records,
                              (record.pinned for record in records))
         log.deadline = _seconds(record.deadline for record in records)
-        log.worker = array("q", (record.worker for record in records))
+        log.worker = array("i", (record.worker for record in records))
         log.enqueued = _seconds(record.enqueued for record in records)
         log.started = _seconds(record.started for record in records)
         log.completed = _seconds(record.completed for record in records)
         log.shed = bytearray(record.shed for record in records)
         position = {record.index: row for row, record in enumerate(records)}
-        log.order = array("q", (position[record.index]
+        log.order = array("i", (position[record.index]
                                 for record in completions))
         return log
 
@@ -163,7 +191,7 @@ class RequestLog:
 
     def record(self, row: int) -> RequestRecord:
         """A read-only view of the request at ``row``."""
-        pinned = self.pinned[row]
+        pinned = -1 if self.pinned is None else self.pinned[row]
         return RequestRecord(
             index=self.index[row], arrival=self.arrival[row],
             batch=self.batch[row], chunk=self.chunk[row],
@@ -235,7 +263,7 @@ class TenantStreamResult:
         :attr:`RequestRecord.latency` and :attr:`RequestRecord.missed`.
         """
         log = self.log
-        completed = array("q")
+        completed = array("i")
         latencies = array("d")
         missed = 0
         for row, (arrival, done, deadline, shed) in enumerate(zip(
@@ -376,8 +404,7 @@ class StreamReport(RunStamp):
 
     @property
     def p99_latency(self) -> float:
-        latencies = [latency for tenant in self.tenants
-                     for latency in tenant.latencies]
+        latencies = _Joined([tenant.latencies for tenant in self.tenants])
         return percentile(latencies, 99) if latencies else 0.0
 
     @property

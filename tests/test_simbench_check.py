@@ -52,3 +52,19 @@ def test_the_snapshot_keeps_each_passing_result_line(tool):
     }
     assert tool.snapshot(stdouts) == {"serve64_hot_raw": passing}
     assert tool.snapshot({}) == {}
+
+
+def test_a_passing_run_prints_its_headline_metrics(tool):
+    line = ('{"correct": true, "attempted": 6, "failed": 0, "metrics": '
+            '{"wall_ms_per_unit": {"value": 0.03910947123958408, '
+            '"unit": "ms"}, "setup_s": {"value": 0.1504, "unit": "s"}, '
+            '"peak_rss_mb": {"value": 38.3515625, "unit": "MB"}, '
+            '"events_per_unit": {"value": 11.962041666666666, '
+            '"unit": "count"}}}')
+    result = json.loads(line)
+    assert tool.passing_line("stream64_poisson", result) == (
+        "ok   stream64_poisson: wall_ms_per_unit 0.03911, "
+        "peak_rss_mb 38.4, events_per_unit 11.962041666666666")
+    assert tool.passing_line("serve64_hot_raw", {"metrics": {}}) == (
+        "ok   serve64_hot_raw: wall_ms_per_unit -, peak_rss_mb -, "
+        "events_per_unit -")

@@ -10,7 +10,9 @@ when its outputs or its report SHA-256 differ from
 move, so this catches any change to a rendered byte or an event count.
 It only reads ``simbench/``.
 
-Each passing run's result line is also written, as ``{workload:
+Each passing run prints one line with its ``wall_ms_per_unit``,
+``peak_rss_mb`` and ``events_per_unit``, so the log shows the figures
+without the snapshot.  Its result line is also written, as ``{workload:
 result}``, to ``SIMBENCH.json`` at the repository root: the host-time
 snapshot ``presto trend`` compares across runs (CI uploads it).
 
@@ -54,6 +56,23 @@ def verdict(stdout: str) -> str:
     return _parse(stdout)[1]
 
 
+#: The end-to-end metrics a passing line shows, with their formats;
+#: ``events_per_unit`` is exact, so it prints in full (``repr``).
+SHOWN = (("wall_ms_per_unit", ".4g"), ("peak_rss_mb", ".1f"),
+         ("events_per_unit", ""))
+
+
+def passing_line(workload: str, result: dict) -> str:
+    """The log line of a passing run: its headline metrics."""
+    metrics = result.get("metrics", {})
+    shown = []
+    for name, spec in SHOWN:
+        value = metrics.get(name, {}).get("value")
+        text = "-" if value is None else format(value, spec)
+        shown.append(f"{name} {text}")
+    return f"ok   {workload}: " + ", ".join(shown)
+
+
 def snapshot(stdouts: dict) -> dict:
     """``{workload: result}`` of every passing run in ``stdouts``
     (``workload -> stdout``): the ``SIMBENCH.json`` payload."""
@@ -76,7 +95,7 @@ def main() -> int:
              "--seconds", "0"],
             cwd=ROOT, capture_output=True, text=True)
         stdouts[workload] = proc.stdout
-        reason = verdict(proc.stdout)
+        result, reason = _parse(proc.stdout)
         if proc.returncode != 0 and not reason:
             reason = f"exit status {proc.returncode}"
         if reason:
@@ -84,7 +103,7 @@ def main() -> int:
             print(f"FAIL {workload}: {reason}")
             sys.stdout.write(proc.stderr)
         else:
-            print(f"ok   {workload}")
+            print(passing_line(workload, result))
     SNAPSHOT.write_text(json.dumps(snapshot(stdouts), indent=2,
                                    sort_keys=True) + "\n")
     print(f"wrote {SNAPSHOT.name}")
