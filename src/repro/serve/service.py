@@ -31,7 +31,7 @@ SLO violations) aggregate into a :class:`ServiceReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import nlargest, nsmallest
+from heapq import nlargest
 from typing import Generator, Optional, Sequence
 
 from repro.backends.base import Environment, EpochResult, OfflineResult, \
@@ -54,12 +54,12 @@ def percentile(values: Sequence[float], q: float) -> float:
     behaviour for the small per-tenant epoch samples we feed it.
 
     ``values`` is read only through ``len``, iteration and
-    ``reversed``.  A rank near either end selects only the two order
-    statistics the interpolation reads, from the nearer end, so a p99
-    over many samples keeps about 1% of them instead of a sorted copy
-    of all.  Ties resolve as a stable sort would (``nlargest`` walks
-    the values backwards for that), so the result is bit-identical to
-    indexing ``sorted(values)``.
+    ``reversed``.  A rank near the top selects only the two order
+    statistics the interpolation reads, so a p99 over many samples
+    keeps about 1% of them instead of a sorted copy of all.  Ties
+    resolve as a stable sort would (``nlargest`` walks the values
+    backwards for that), so the result is bit-identical to indexing
+    ``sorted(values)``.
     """
     if not values:
         raise ProfilingError("percentile of an empty sequence")
@@ -72,15 +72,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     low = int(rank)
     high = min(low + 1, count - 1)
     weight = rank - low
-    if min(high + 1, count - low) * 16 > count:
-        # Past about a sixteenth of the values a heap's Python loop and
-        # tuple compares cost more than a sort (measured on 1,500 and
-        # 96,000 floats), so a median-like rank sorts.
+    if (count - low) * 16 > count:
+        # At the median a heap selection measured 4x slower than a
+        # sort, so every rank below the top sixteenth sorts.
         ordered = sorted(values)
         below, above = ordered[low], ordered[high]
-    elif high < count - low:
-        smallest = nsmallest(high + 1, values)
-        below, above = smallest[low], smallest[high]
     else:
         # largest[j] is sorted(values)[count - 1 - j].
         largest = nlargest(count - low, reversed(values))

@@ -3,8 +3,8 @@
 ``_sorted_percentile`` is the percentile as it was written before the
 selection, kept in test code as the executable specification: sort a
 copy of every value, then interpolate linearly between the two order
-statistics around the rank. For a rank near either end ``percentile``
-selects only those two, from the nearer end of the order. The property
+statistics around the rank. For a rank near the top ``percentile``
+selects only those two with a heap. The property
 test feeds both the same finite values -- ties, signed zeros and single
 values included, as lists, as ``array('d')`` and as the stream report's
 no-copy join of several columns -- and requires bit-identical results.
@@ -42,7 +42,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POOL = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.25])
 #: Short lists, and lists of 32 or more values: the heap selection
 #: keeps at most a sixteenth of the values, so only those take it at
-#: ranks next to either end (the rest sort).
+#: ranks next to the top (the rest sort).
 _VALUES = st.one_of(
     st.lists(_POOL, min_size=1, max_size=100),
     st.lists(st.one_of(_POOL, _FINITE), min_size=1, max_size=20),

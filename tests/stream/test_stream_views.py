@@ -42,8 +42,11 @@ def check_views(tenant) -> None:
         assert record.batch == log.batch[row]
         assert record.chunk == log.chunk[row]
         assert record.worker == log.worker[row]
-        pinned = -1 if log.pinned is None else log.pinned[row]
-        assert record.pinned == (None if pinned < 0 else pinned)
+        if log.pinned is None:
+            assert record.pinned is None
+        else:
+            pinned = log.pinned[row]
+            assert record.pinned == (None if pinned < 0 else pinned)
         assert record.shed is bool(log.shed[row])
         for name in TIMES:
             value = getattr(record, name)

@@ -20,7 +20,7 @@ def tool():
 
 @pytest.fixture(scope="module")
 def verdict(tool):
-    return tool.verdict
+    return lambda stdout: tool._parse(stdout)[1]
 
 
 def test_a_correct_run_passes(verdict):

@@ -51,11 +51,6 @@ def _parse(stdout: str) -> tuple:
     return result, ""
 
 
-def verdict(stdout: str) -> str:
-    """Why a run's output is not a passing verdict (empty if it is)."""
-    return _parse(stdout)[1]
-
-
 #: The end-to-end metrics a passing line shows, with their formats;
 #: ``events_per_unit`` is exact, so it prints in full (``repr``).
 SHOWN = (("wall_ms_per_unit", ".4g"), ("peak_rss_mb", ".1f"),
