@@ -5,7 +5,7 @@
 #   make sweep         full-catalog profile of the seven paper pipelines
 #   make golden        regenerate the golden CLI outputs (eyeball the diff!)
 #   make coverage      line-coverage floors (diagnosis + serve + api +
-#                      ctl + stream + obs + faults + lint + exec)
+#                      ctl + stream + obs + faults + lint + exec + sim)
 #   make lint          simlint static analysis over src/ tools/
 #                      benchmarks/ (DES discipline; docs/lint.md)
 #   make typecheck     pinned mypy pass over the starter subset
@@ -31,7 +31,7 @@ COVERAGE_FLOOR ?= 80
 
 #: The repro subpackages with a coverage floor; `make coverage-<pkg>`
 #: measures one of them.
-COVERAGE_PACKAGES := diagnosis serve api ctl stream obs faults lint exec
+COVERAGE_PACKAGES := diagnosis serve api ctl stream obs faults lint exec sim
 COVERAGE_TARGETS := $(addprefix coverage-,$(COVERAGE_PACKAGES))
 
 .PHONY: test smoke sweep golden coverage $(COVERAGE_TARGETS) lint \

@@ -297,7 +297,9 @@ class SimulatedBackend:
 
         offline = None
         if not plan.is_unprocessed:
-            offline = self._run_offline(sim, machine, cluster, plan, config)
+            offline = sim.run_process(
+                self.offline_process(sim, machine, cluster, plan, config),
+                name="offline")
             machine.drop_page_cache()
 
         # Application-cache admission check (paper Sec. 4.2 obs. 4).
@@ -320,14 +322,15 @@ class SimulatedBackend:
         for epoch in range(config.epochs):
             use_app_cache = (config.cache_mode == CACHE_APPLICATION
                              and app_cache_fits and app_cache_ready)
-            epoch_result = self._run_epoch(
+            epoch_result = sim.run_process(self.epoch_process(
                 sim, machine, cluster, plan, config, epoch,
                 stored_bytes_ps=stored_bytes_ps,
                 from_app_cache=use_app_cache,
                 populate_app_cache=(config.cache_mode == CACHE_APPLICATION
                                     and app_cache_fits
                                     and not app_cache_ready),
-                app_tensor_bytes_ps=app_tensor_bytes_ps)
+                app_tensor_bytes_ps=app_tensor_bytes_ps),
+                name="epoch-barrier")
             result.epochs.append(epoch_result)
             if config.cache_mode == CACHE_NONE:
                 machine.drop_page_cache()
@@ -337,13 +340,6 @@ class SimulatedBackend:
         return result
 
     # -- offline phase ------------------------------------------------------
-
-    def _run_offline(self, sim: Simulation, machine: Machine,
-                     cluster: StorageCluster, plan: SplitPlan,
-                     config: RunConfig) -> OfflineResult:
-        return sim.run_process(
-            self.offline_process(sim, machine, cluster, plan, config),
-            name="offline")
 
     def offline_process(self, sim: Simulation, machine: Machine,
                         cluster: StorageCluster, plan: SplitPlan,
@@ -437,20 +433,6 @@ class SimulatedBackend:
         )
 
     # -- online epochs -------------------------------------------------------
-
-    def _run_epoch(self, sim: Simulation, machine: Machine,
-                   cluster: StorageCluster, plan: SplitPlan,
-                   config: RunConfig, epoch: int, stored_bytes_ps: float,
-                   from_app_cache: bool, populate_app_cache: bool,
-                   app_tensor_bytes_ps: float) -> EpochResult:
-        return sim.run_process(
-            self.epoch_process(
-                sim, machine, cluster, plan, config, epoch,
-                stored_bytes_ps=stored_bytes_ps,
-                from_app_cache=from_app_cache,
-                populate_app_cache=populate_app_cache,
-                app_tensor_bytes_ps=app_tensor_bytes_ps),
-            name="epoch-barrier")
 
     def epoch_process(self, sim: Simulation, machine: Machine,
                       cluster: StorageCluster, plan: SplitPlan,

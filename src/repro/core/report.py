@@ -123,9 +123,9 @@ def stream_summary(report) -> str:
     """One-line operator summary of a streaming run."""
     shed = f", shed {report.total_shed}" if report.total_shed else ""
     slo_shed = (f", slo-shed {report.total_slo_shed}"
-                if getattr(report, "total_slo_shed", 0) else "")
+                if report.total_slo_shed else "")
     faults = (f", {len(report.fault_events)} fault window(s)"
-              if getattr(report, "fault_events", None) else "")
+              if report.fault_events else "")
     return (f"stream: {len(report.tenants)} tenant stream(s), "
             f"{report.total_requests} request(s), makespan "
             f"{fmt_duration(report.makespan)}, p99 latency "

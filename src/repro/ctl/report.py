@@ -19,7 +19,6 @@ from repro.units import fmt_duration
 from repro.ctl.ledger import (CANCELLED, DEADLETTER, ExecutionLedger,
                               SUCCEEDED, DeadLetter)
 from repro.ctl.retry import RetryPolicy
-from repro.serve.runtime import RunStamp
 from repro.serve.service import ServiceReport, TenantJob
 
 
@@ -93,7 +92,7 @@ class AutoscaleEvent:
 
 
 @dataclass
-class ControlReport(RunStamp):
+class ControlReport:
     """Everything one control-plane run produced.
 
     ``service`` is the resource view (identical to a plain
@@ -145,14 +144,10 @@ class ControlReport(RunStamp):
     def total_lost_epochs(self) -> int:
         return sum(record.lost_epochs for record in self.records)
 
-    # The run-cost stamp, and so provenance(), is the service report's.
     @property
     def events_processed(self) -> int:
+        """Kernel events of the run, as the service report counted."""
         return self.service.events_processed
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.service.wall_seconds
 
     def record(self, job_id: str) -> JobRecord:
         for candidate in self.records:

@@ -20,8 +20,8 @@ Hits = Iterator[Tuple[ast.AST, str]]
 
 #: Wall-clock callables banned outside pragma'd host-side code.
 #: ``time.perf_counter`` is deliberately absent: it is the sanctioned
-#: host-side timer for ``wall_seconds`` reporting and never leaks into
-#: simulated state.
+#: host-side timer (the sweep engine's elapsed seconds) and never leaks
+#: into simulated state.
 WALL_CLOCK = {
     "time": {"time", "time_ns", "monotonic", "monotonic_ns", "sleep"},
     "datetime": {"now", "utcnow", "today"},
@@ -95,7 +95,7 @@ class WallClockRule(Rule):
         "(`time.time`, `time.monotonic`, `datetime.now`, `time.sleep`) "
         "make runs machine-dependent and break golden byte-identity. "
         "`time.perf_counter` is exempt: it is the sanctioned host-side "
-        "timer for `wall_seconds` run-cost reporting.")
+        "timer for elapsed-time reporting, such as a sweep's.")
 
     def check(self, ctx: FileContext) -> Hits:
         time_aliases = _from_imports(ctx, "time")

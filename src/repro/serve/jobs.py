@@ -70,19 +70,26 @@ class JobSpec:
     crash_attempts: int = 1
 
     def __post_init__(self):
-        if self.arrival < 0:
+        # ``not x >= c`` rejects NaN as well; a bool is never a number.
+        for name in ("arrival", "priority", "slo_stretch", "crash_epoch",
+                     "crash_attempts"):
+            if isinstance(getattr(self, name), bool):
+                raise ProfilingError(
+                    f"job {self.tenant!r}: {name} must be a number, "
+                    f"got a boolean")
+        if not self.arrival >= 0:
             raise ProfilingError(
                 f"job {self.tenant!r}: negative arrival time")
-        if self.priority <= 0:
+        if not self.priority > 0:
             raise ProfilingError(
                 f"job {self.tenant!r}: priority must be positive")
-        if self.slo_stretch is not None and self.slo_stretch <= 0:
+        if self.slo_stretch is not None and not self.slo_stretch > 0:
             raise ProfilingError(
                 f"job {self.tenant!r}: slo_stretch must be positive")
-        if self.crash_epoch is not None and self.crash_epoch < 0:
+        if self.crash_epoch is not None and not self.crash_epoch >= 0:
             raise ProfilingError(
                 f"job {self.tenant!r}: crash_epoch must be >= 0")
-        if self.crash_attempts < 1:
+        if not self.crash_attempts >= 1:
             raise ProfilingError(
                 f"job {self.tenant!r}: crash_attempts must be >= 1")
 

@@ -3,8 +3,9 @@
 :class:`ClusterRuntime` owns what those services share: the simulation
 with its machine and storage cluster, the chaos engine (null unless a
 fault plan is passed), the metrics sampler (null unless a registry is
-passed), the host wall-time stamp around ``sim.run()`` and the drain
-check.  The services own their workload processes and reports.
+passed) and the drain check.  The services own their workload
+processes; their reports share the :class:`ClusterReport` fields the
+runtime stamps.
 
 Creation order fixes every kernel sequence number: a service creates
 its workload processes first, then :meth:`ClusterRuntime.run` starts
@@ -13,25 +14,55 @@ the fault windows and then the sampler.
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Sequence
 
 from repro.backends.base import Environment
 from repro.backends.simulated import build_cluster
-from repro.errors import SimulationError
+from repro.errors import ProfilingError, SimulationError
 from repro.sim.events import Event, Process
 
 
-class RunStamp:
-    """The uniform run-cost stamp every workload report carries."""
+@dataclass(kw_only=True)
+class ClusterReport:
+    """What every run on a :class:`ClusterRuntime` reports.
 
-    events_processed: int
-    wall_seconds: float
+    The serve and stream reports subclass it.  ``tenants`` holds one
+    result per tenant, each with a ``spec.tenant`` name; the service
+    sums the byte counts over them and :meth:`ClusterRuntime.stamp`
+    writes the rest.
+    """
 
-    def provenance(self) -> dict:
-        """Kernel events and host seconds of the run, as a dict."""
-        return {"events_processed": self.events_processed,
-                "wall_seconds": round(self.wall_seconds, 6)}
+    environment: Environment
+    tenants: list = field(default_factory=list)
+    #: Last tenant finish (serve) or request completion (stream).
+    makespan: float = 0.0
+    #: Cluster-wide byte accounting over the whole run.
+    bytes_from_storage: float = 0.0
+    bytes_from_cache: float = 0.0
+    metadata_peak_in_use: int = 0
+    page_cache_evictions: int = 0
+    #: Kernel events resolved over the whole simulation.  The DES is
+    #: deterministic, so this is a machine-independent cost metric
+    #: (``make bench-check`` pins it; host time is simbench's).
+    events_processed: int = 0
+    #: Chaos-engine injections over the run (:mod:`repro.faults`):
+    #: one :class:`~repro.faults.engine.FaultEvent` per opened window,
+    #: and transfers failed by blackout windows.  Empty/zero on every
+    #: fault-free run -- the doctors and renderers key off that.
+    fault_events: list = field(default_factory=list)
+    transfers_aborted: int = 0
+
+    @property
+    def cache_hit_ratio(self) -> float:
+        total = self.bytes_from_storage + self.bytes_from_cache
+        return self.bytes_from_cache / total if total > 0 else 0.0
+
+    def tenant(self, name: str):
+        for tenant in self.tenants:
+            if tenant.spec.tenant == name:
+                return tenant
+        raise ProfilingError(f"no tenant {name!r} in this report")
 
 
 class ClusterRuntime:
@@ -54,7 +85,6 @@ class ClusterRuntime:
             self.fault_engine = FaultEngine(
                 faults, self.sim, self.machine, self.cluster,
                 metrics=metrics, tracer=tracer)
-        self.wall_seconds = 0.0
 
     def run(self, processes: Sequence[Process], live: Callable[[], bool],
             sample: Callable[[object], None]) -> None:
@@ -70,9 +100,7 @@ class ClusterRuntime:
             self.fault_engine.start()
         if self.metrics is not None:
             sim.process(self._sampler(live, sample), name="metrics-sampler")
-        started = time.perf_counter()
         sim.run()
-        self.wall_seconds = time.perf_counter() - started
         stuck = [process.name for process in processes
                  if not process.triggered]
         if stuck:
@@ -114,10 +142,12 @@ class ClusterRuntime:
             registry.gauge("faults.capacity_stretch").set(
                 min(engine.capacity_stretch(), 1e6))
 
-    def stamp(self, report) -> None:
-        """Write the run's cost stamp and fault tallies into ``report``."""
+    def stamp(self, report: ClusterReport) -> None:
+        """Write the run's metadata peak, page-cache evictions, kernel
+        events and fault tallies into ``report``."""
+        report.metadata_peak_in_use = self.cluster.metadata.peak_in_use
+        report.page_cache_evictions = self.machine.page_cache.evictions
         report.events_processed = self.sim.events_processed
-        report.wall_seconds = self.wall_seconds
         engine = self.fault_engine
         if engine is not None:
             report.fault_events = list(engine.events)

@@ -41,7 +41,7 @@ from repro.errors import ProfilingError
 from repro.pipelines.base import SplitPlan
 from repro.serve.jobs import JobSpec
 from repro.serve.policies import SchedulerPolicy, get_policy
-from repro.serve.runtime import ClusterRuntime, RunStamp
+from repro.serve.runtime import ClusterReport, ClusterRuntime
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation
@@ -183,38 +183,20 @@ class TenantJob:
         }
 
 
-@dataclass
-class ServiceReport(RunStamp):
-    """Everything the service measured about one trace under one policy."""
+@dataclass(kw_only=True)
+class ServiceReport(ClusterReport):
+    """Everything the service measured about one trace under one policy.
+
+    ``tenants`` are the :class:`TenantJob` runs.
+    """
 
     policy: str
     slots: int
-    environment: Environment
-    tenants: list[TenantJob] = field(default_factory=list)
-    makespan: float = 0.0
     #: Offline materialisations actually executed vs shared (deduped).
     offline_runs: int = 0
     offline_deduped: int = 0
-    #: Cluster-wide byte accounting over the whole run.
-    bytes_from_storage: float = 0.0
-    bytes_from_cache: float = 0.0
     bytes_written: float = 0.0
     files_opened: int = 0
-    metadata_peak_in_use: int = 0
-    page_cache_evictions: int = 0
-    #: Kernel events resolved over the whole service simulation.  The DES
-    #: is deterministic, so this is a machine-independent cost metric
-    #: (the perf suite's CI smoke asserts it instead of wall seconds).
-    events_processed: int = 0
-    #: Wall-clock seconds the host spent running the simulation
-    #: (machine-dependent; track the trend, never assert it).
-    wall_seconds: float = 0.0
-    #: Chaos-engine injections over the run (:mod:`repro.faults`):
-    #: one :class:`~repro.faults.engine.FaultEvent` per opened window,
-    #: and transfers failed by blackout windows.  Empty/zero on every
-    #: fault-free run -- the doctor and renderers key off that.
-    fault_events: list = field(default_factory=list)
-    transfers_aborted: int = 0
 
     @property
     def aggregate_sps(self) -> float:
@@ -234,21 +216,10 @@ class ServiceReport(RunStamp):
             / len(self.tenants)
 
     @property
-    def cache_hit_ratio(self) -> float:
-        total = self.bytes_from_storage + self.bytes_from_cache
-        return self.bytes_from_cache / total if total > 0 else 0.0
-
-    @property
     def p99_epoch_seconds(self) -> float:
         durations = [duration for job in self.tenants
                      for duration in job.epoch_durations]
         return percentile(durations, 99) if durations else 0.0
-
-    def tenant(self, name: str) -> TenantJob:
-        for job in self.tenants:
-            if job.spec.tenant == name:
-                return job
-        raise ProfilingError(f"no tenant {name!r} in this report")
 
     def epoch_traces(self):
         """Every measured epoch trace (the doctor's raw material)."""
@@ -483,7 +454,9 @@ class PreprocessingService:
             else:
                 stored_bytes_ps = stored.compressed_bytes_per_sample(
                     job.config.compression)
-            namespace = self._namespace(job)
+            # The page-cache namespace is shared exactly when the
+            # offline artifact is deduplicated.
+            namespace = self._dedup_key(job)
             for epoch in range(start_epoch, job.config.epochs):
                 self._before_epoch(job, epoch)
                 result = yield from self.backend.epoch_process(
@@ -549,10 +522,6 @@ class PreprocessingService:
             return job.artifact
         return (job.spec.tenant,) + job.artifact
 
-    def _namespace(self, job: TenantJob) -> tuple:
-        """Page-cache chunk namespace; shared exactly when deduped."""
-        return self._dedup_key(job)
-
     def _link_tag(self, job: TenantJob) -> str:
         """Storage-link transfer label: the tenant id under the tenant
         tie-break, untagged (admission order) otherwise."""
@@ -598,8 +567,6 @@ class PreprocessingService:
                 for job in jobs for epoch in job.epochs),
             bytes_written=self._cluster.bytes_written,
             files_opened=round(self._cluster.files_opened),
-            metadata_peak_in_use=self._cluster.metadata.peak_in_use,
-            page_cache_evictions=self._machine.page_cache.evictions,
         )
         self._runtime.stamp(report)
         return report

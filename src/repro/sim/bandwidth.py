@@ -57,6 +57,13 @@ _BY_ADMISSION = itemgetter(1)
 _BY_TAG = itemgetter(5, 1)
 
 
+def _check_bandwidth(which: str, bandwidth: float) -> None:
+    """Reject a non-positive, NaN or boolean link capacity."""
+    if isinstance(bandwidth, bool) or not bandwidth > 0:
+        raise SimulationError(
+            f"{which} bandwidth must be positive, got {bandwidth!r}")
+
+
 class SharedBandwidth:
     """A capacity-shared link with per-stream caps and max-min fairness.
 
@@ -89,10 +96,9 @@ class SharedBandwidth:
 
     def __init__(self, sim: Simulation, aggregate_bw: float,
                  per_stream_bw: Optional[float] = None, name: str = "link"):
-        if aggregate_bw <= 0:
-            raise SimulationError("aggregate bandwidth must be positive")
-        if per_stream_bw is not None and per_stream_bw <= 0:
-            raise SimulationError("per-stream bandwidth must be positive")
+        _check_bandwidth("aggregate", aggregate_bw)
+        if per_stream_bw is not None:
+            _check_bandwidth("per-stream", per_stream_bw)
         self.sim = sim
         self.name = name
         self.aggregate_bw = float(aggregate_bw)
@@ -210,10 +216,10 @@ class SharedBandwidth:
         nothing: the constructor wires no degradation state and the
         transfer hot path is untouched.
         """
-        if aggregate_bw is not None and aggregate_bw <= 0:
-            raise SimulationError("aggregate bandwidth must be positive")
-        if per_stream_bw is not None and per_stream_bw <= 0:
-            raise SimulationError("per-stream bandwidth must be positive")
+        if aggregate_bw is not None:
+            _check_bandwidth("aggregate", aggregate_bw)
+        if per_stream_bw is not None:
+            _check_bandwidth("per-stream", per_stream_bw)
         now = self.sim._now
         elapsed = now - self._last_update
         if elapsed > 0.0 and self._rate:

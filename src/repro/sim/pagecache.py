@@ -25,8 +25,10 @@ class PageCache:
     """Byte-budgeted LRU cache over opaque keys."""
 
     def __init__(self, capacity_bytes: float, name: str = "page-cache"):
-        if capacity_bytes < 0:
-            raise StorageError("cache capacity must be non-negative")
+        if isinstance(capacity_bytes, bool) or not capacity_bytes >= 0:
+            raise StorageError(
+                f"cache capacity must be non-negative, got "
+                f"{capacity_bytes!r}")
         self.capacity_bytes = float(capacity_bytes)
         self.name = name
         self._entries: OrderedDict[Hashable, float] = OrderedDict()

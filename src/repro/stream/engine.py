@@ -365,8 +365,6 @@ class StreamingService:
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache
                                  for tenant in tenants),
-            metadata_peak_in_use=self._runtime.cluster.metadata.peak_in_use,
-            page_cache_evictions=self._runtime.machine.page_cache.evictions,
         )
         self._runtime.stamp(report)
         return report

@@ -12,15 +12,13 @@ a blocked client is a slow client.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import isnan, nan
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from repro.backends.base import Environment
-from repro.errors import ProfilingError
-from repro.serve.runtime import RunStamp
+from repro.serve.runtime import ClusterReport
 from repro.serve.service import percentile
 from repro.stream.requests import StreamTenantSpec
 
@@ -354,29 +352,13 @@ class TenantStreamResult:
         }
 
 
-@dataclass
-class StreamReport(RunStamp):
-    """Everything the streaming service measured about one run."""
+class StreamReport(ClusterReport):
+    """Everything the streaming service measured about one run.
 
-    environment: Environment
-    tenants: list = field(default_factory=list)
-    #: Last request completion over the whole run.
-    makespan: float = 0.0
-    #: Kernel events resolved over the whole co-simulation -- the
-    #: machine-independent deterministic cost metric the perf suite
-    #: pins (never wall seconds).
-    events_processed: int = 0
-    bytes_from_storage: float = 0.0
-    bytes_from_cache: float = 0.0
-    metadata_peak_in_use: int = 0
-    page_cache_evictions: int = 0
-    #: Wall-clock seconds the host spent running the simulation
-    #: (machine-dependent; track the trend, never assert it).
-    wall_seconds: float = 0.0
-    #: Chaos-engine injections over the run (:mod:`repro.faults`);
-    #: empty/zero on every fault-free run.
-    fault_events: list = field(default_factory=list)
-    transfers_aborted: int = 0
+    ``tenants`` are the :class:`TenantStreamResult` streams.  The report
+    adds no fields to :class:`~repro.serve.runtime.ClusterReport`, only
+    the request-level views below.
+    """
 
     @property
     def total_requests(self) -> int:
@@ -402,18 +384,10 @@ class StreamReport(RunStamp):
         missed = sum(tenant.tally.missed for tenant in self.tenants)
         return missed / total
 
-    @property
+    @cached_property
     def p99_latency(self) -> float:
+        """p99 request latency over every tenant, selected once on first
+        access (the report is built after the run, so it cannot go
+        stale)."""
         latencies = _Joined([tenant.latencies for tenant in self.tenants])
         return percentile(latencies, 99) if latencies else 0.0
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        total = self.bytes_from_storage + self.bytes_from_cache
-        return self.bytes_from_cache / total if total > 0 else 0.0
-
-    def tenant(self, name: str) -> TenantStreamResult:
-        for tenant in self.tenants:
-            if tenant.spec.tenant == name:
-                return tenant
-        raise ProfilingError(f"no tenant stream {name!r} in this report")

@@ -198,6 +198,59 @@ def test_wrong_typed_values_name_the_field(section, key, value, tmp_path,
     assert field_path in capsys.readouterr().err
 
 
+# -- wrong-typed containers ----------------------------------------------------
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+@pytest.mark.parametrize("value", [[], [{}], 3, "serve", None, True],
+                         ids=repr)
+def test_sections_must_be_mappings(section, value):
+    with pytest.raises(SpecError,
+                       match=f"spec section '{section}' must be a mapping"):
+        ExperimentSpec.from_dict({"kind": "serve", section: value})
+
+
+#: A container where the schema expects one scalar; an ``each`` field
+#: takes a list, so only the mapping is wrong for it.
+SCALAR_CONTAINERS = [{}, {"value": 1}, [], [1]]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, key, value,
+                 id=f"{section or 'spec'}.{key}={value!r}")
+    for section, key, schema in schema_fields()
+    for value in SCALAR_CONTAINERS
+    if not (schema.get("each") and isinstance(value, list))])
+def test_containers_for_scalars_name_the_field(section, key, value):
+    field_path = f"{section}.{key}" if section else key
+    with pytest.raises(SpecError, match=re.escape(field_path)):
+        ExperimentSpec.from_dict(_spec_with(section, key, value))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, key, value,
+                 id=f"{section}.{key}={value!r}")
+    for section, key, schema in schema_fields()
+    if schema.get("each")
+    for value in ([[]], [[1]], [["GZIP"]], [1, [2]])])
+def test_nested_lists_in_each_fields_name_the_field(section, key, value):
+    with pytest.raises(SpecError, match=re.escape(f"{section}.{key}")):
+        ExperimentSpec.from_dict(_spec_with(section, key, value))
+
+
+@pytest.mark.parametrize("value", [[["MP3"]], {"MP3": 1}, 7], ids=repr)
+def test_pipelines_must_be_a_flat_list_of_names(value):
+    with pytest.raises(SpecError, match="'pipelines' must be a list"):
+        ExperimentSpec.from_dict({"kind": "sweep", "pipelines": value})
+
+
+def test_plan_exits_2_on_a_section_given_as_a_list(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "serve", "serve": [{"tenants": 4}]}))
+    assert main(["plan", str(path)]) == 2
+    assert "spec section 'serve' must be a mapping, got list" \
+        in capsys.readouterr().err
+
+
 def test_yaml_no_is_not_a_boolean(tmp_path, capsys):
     """The YAML subset reads ``no`` as a string: it must not switch
     preemption on."""

@@ -105,21 +105,16 @@ class TestMetricsSamplingIsReportFree:
         assert observed.p99_latency == baseline.p99_latency
 
 
-class TestProvenanceStamp:
-    """Satellite: every workload report carries the uniform run-cost
-    stamp (events + wall seconds)."""
+class TestKernelEventCount:
+    """Every workload report carries the run's kernel event count."""
 
     @pytest.mark.parametrize("report_factory", [
         lambda: PreprocessingService().run(serve_jobs()),
         lambda: Dispatcher().run(ctl_jobs()),
         lambda: StreamingService().run(streams(), seed=0),
     ], ids=["serve", "ctl", "stream"])
-    def test_reports_expose_events_and_wall(self, report_factory):
-        report = report_factory()
-        stamp = report.provenance()
-        assert stamp["events_processed"] == report.events_processed > 0
-        assert stamp["wall_seconds"] == round(report.wall_seconds, 6)
-        assert report.wall_seconds > 0
+    def test_reports_count_kernel_events(self, report_factory):
+        assert report_factory().events_processed > 0
 
 
 def _sha256(text: str) -> str:

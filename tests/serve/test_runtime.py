@@ -6,7 +6,7 @@ from repro.backends.base import Environment
 from repro.errors import SimulationError
 from repro.faults.plan import Brownout, FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.runtime import ClusterRuntime
+from repro.serve.runtime import ClusterReport, ClusterRuntime
 from repro.sim.events import Simulation
 
 
@@ -55,7 +55,7 @@ class TestDrain:
             runtime.run([process], lambda: False, _never_sample)
         assert caught.value is error
 
-    def test_finished_run_stamps_wall_seconds(self):
+    def test_finished_run_drains_to_the_last_event(self):
         runtime = _runtime()
         sim = runtime.sim
 
@@ -65,7 +65,6 @@ class TestDrain:
         runtime.run([sim.process(work(), name="work")], lambda: False,
                     _never_sample)
         assert sim.now == 3.0
-        assert runtime.wall_seconds > 0
 
 
 class TestNullDefaults:
@@ -131,13 +130,13 @@ class TestSampler:
         assert registry.samples[0]["values"][
             "faults.capacity_stretch"] == 4.0
 
-        class Report:
-            pass
-
-        report = Report()
+        report = ClusterReport(environment=runtime.environment)
         runtime.stamp(report)
         assert report.events_processed == sim.events_processed
-        assert report.wall_seconds == runtime.wall_seconds
+        assert report.metadata_peak_in_use \
+            == runtime.cluster.metadata.peak_in_use
+        assert report.page_cache_evictions \
+            == runtime.machine.page_cache.evictions
         assert [event.kind for event in report.fault_events] \
             == ["brownout"]
         assert report.transfers_aborted == 0

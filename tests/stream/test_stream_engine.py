@@ -151,6 +151,32 @@ class TestReportAggregates:
                      for record in tenant.records)
         assert report.miss_fraction == missed / report.total_requests
 
+    def test_report_p99_is_selected_once_per_render(self, monkeypatch):
+        """The summary line and the doctor both read the report's p99;
+        the selection over every tenant's latencies runs once."""
+        from repro.core.report import stream_summary
+        from repro.stream import diagnose_stream
+        from repro.stream import report as report_module
+
+        report = StreamingService().run(
+            [make_spec(tenant="a", requests=10),
+             make_spec(tenant="b", requests=6)])
+        joined = sum(len(tenant.latencies) for tenant in report.tenants)
+        assert joined > max(len(tenant.latencies)
+                            for tenant in report.tenants)
+        sizes = []
+        real = report_module.percentile
+
+        def counting(values, q):
+            sizes.append(len(values))
+            return real(values, q)
+
+        monkeypatch.setattr(report_module, "percentile", counting)
+        assert stream_summary(report)
+        assert diagnose_stream(report).summary["p99_latency"] \
+            == report.p99_latency
+        assert sizes.count(joined) == 1
+
     def test_workers_raise_throughput(self):
         _, narrow = run_one(make_spec(workers=1, requests=16, rate=100.0))
         _, wide = run_one(make_spec(workers=4, requests=16, rate=100.0))

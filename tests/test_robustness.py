@@ -113,3 +113,43 @@ class TestBackendProperties:
         small = BACKEND.run(small_pipeline.split_at("decoded"), RunConfig())
         ratio = full.preprocessing_seconds / small.preprocessing_seconds
         assert ratio == pytest.approx(10.0, rel=0.2)
+
+
+def _job(**field):
+    from repro.serve.jobs import JobSpec
+    return JobSpec("t0", "MP3", "decoded", **field)
+
+
+def _link(**capacity):
+    from repro.sim.bandwidth import SharedBandwidth
+    from repro.sim.events import Simulation
+    return SharedBandwidth(Simulation(), **capacity)
+
+
+def _page_cache(capacity):
+    from repro.sim.pagecache import PageCache
+    return PageCache(capacity)
+
+
+@pytest.mark.parametrize("value", [float("nan"), True, -1.0],
+                         ids=["nan", "bool", "negative"])
+@pytest.mark.parametrize("build", [
+    lambda value: _job(arrival=value),
+    lambda value: _job(priority=value),
+    lambda value: _job(slo_stretch=value),
+    lambda value: _job(crash_epoch=value),
+    lambda value: _job(crash_attempts=value),
+    _page_cache,
+    lambda value: _link(aggregate_bw=value),
+    lambda value: _link(aggregate_bw=1.0, per_stream_bw=value),
+    lambda value: _link(aggregate_bw=1.0).set_capacity(aggregate_bw=value),
+    lambda value: _link(aggregate_bw=1.0).set_capacity(per_stream_bw=value),
+], ids=["job.arrival", "job.priority", "job.slo_stretch", "job.crash_epoch",
+        "job.crash_attempts", "page_cache", "link.aggregate_bw",
+        "link.per_stream_bw", "set_capacity.aggregate_bw",
+        "set_capacity.per_stream_bw"])
+def test_constructor_guards_reject_nan_bools_and_negatives(build, value):
+    """Guards are written ``not x >= c``, which NaN fails, and reject a
+    bool before comparing it as a number."""
+    with pytest.raises(ReproError):
+        build(value)

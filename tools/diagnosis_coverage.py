@@ -18,8 +18,8 @@ Usage::
 the tool's original and namesake target); ``--tests`` overrides the
 pytest target (default: ``tests/<last package component>``).  Exits
 non-zero when total coverage falls below the floor.  Wired up as
-``make coverage``, which enforces the floor on both the diagnosis and
-the serve subsystems.
+``make coverage``, which enforces the floor on every package in the
+Makefile's ``COVERAGE_PACKAGES``.
 """
 
 from __future__ import annotations
